@@ -7,7 +7,6 @@ Exit statuses: 0 success (including empty sweeps), 1 configuration error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import random
 import sys
@@ -49,30 +48,19 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_scalar(args, payload: dict) -> None:
-    if args.output_format == "json":
-        _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        keys = ", ".join(f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
-                         for key, value in payload.items())
-        _write_output(keys + "\n", args.out)
+    _write_output(report.serialize_scalar(payload, args.output_format), args.out)
 
 
 def _cmd_clone_fidelity(args) -> int:
-    if args.family == "qubit":
-        fidelity = equatorial.clone_fidelity_exact(args.n, args.m)
-    else:
-        fidelity = entangled.eco_clone_fidelity_exact(args.n, args.m)
+    fidelity = optimize.Family.named(args.family).clone_fidelity(args.n, args.m)
     _emit_scalar(args, {"family": args.family, "N": args.n, "M": args.m, "f_clon": fidelity})
     return 0
 
 
 def _cmd_mp_fidelity(args) -> int:
-    if args.family == "qubit":
-        state = equatorial.prepared_state_ansatz(args.m, args.lam)
-        fidelity = equatorial.mp_fidelity_exact(args.n, args.m, state)
-    else:
-        state = entangled.prepared_state_ansatz_ent(args.m, args.lam)
-        fidelity = entangled.mp_fidelity_exact_ent(args.n, args.m, state)
+    evaluators = optimize.Family.named(args.family)
+    state = evaluators.ansatz(args.m, args.lam)
+    fidelity = evaluators.mp_fidelity(args.n, args.m, state)
     _emit_scalar(
         args,
         {"family": args.family, "N": args.n, "M": args.m, "lambda": args.lam, "f_mp": fidelity},
@@ -118,30 +106,32 @@ def _cmd_appendix_check(args) -> int:
     return 0
 
 
+def _worst_mp_gap(rng, family, n_max, m_max, lambdas, quadrature_fidelity, nodes_for):
+    """Largest |exact - quadrature| measure-and-prepare fidelity over 50 random cases."""
+    evaluators = optimize.Family.named(family)
+    worst = 0.0
+    for _ in range(50):
+        n = rng.randint(1, n_max)
+        m = rng.randint(n, m_max)
+        state = evaluators.ansatz(m, rng.choice(lambdas))
+        exact = evaluators.mp_fidelity(n, m, state)
+        approx = quadrature_fidelity(n, m, state, nodes_for(n, m))
+        worst = max(worst, abs(exact - approx))
+    return worst
+
+
 def _oracle_lines(nodes_override, tol_qubit, tol_ent):
     rng = random.Random(170)
-    worst_qubit = 0.0
-    for _ in range(50):
-        n = rng.randint(1, 6)
-        m = rng.randint(n, 256)
-        lam = rng.choice([1.0, 2.0, 4.0, 8.0])
-        state = equatorial.prepared_state_ansatz(m, lam)
-        exact = equatorial.mp_fidelity_exact(n, m, state)
-        nodes = nodes_override or quadrature.phase_nodes_required(n, m)
-        approx = quadrature.phase_quadrature_fidelity(n, m, state, nodes)
-        worst_qubit = max(worst_qubit, abs(exact - approx))
+    worst_qubit = _worst_mp_gap(
+        rng, "qubit", 6, 256, [1.0, 2.0, 4.0, 8.0], quadrature.phase_quadrature_fidelity,
+        lambda n, m: nodes_override or quadrature.phase_nodes_required(n, m),
+    )
     yield "phase-circle", worst_qubit, tol_qubit
 
-    worst_ent = 0.0
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        m = rng.randint(n, 24)
-        lam = rng.choice([1.0, 2.0, 4.0])
-        state = entangled.prepared_state_ansatz_ent(m, lam)
-        exact = entangled.mp_fidelity_exact_ent(n, m, state)
-        nodes = nodes_override or 2 * quadrature.su2_nodes_required(n, m)
-        approx = quadrature.su2_quadrature_fidelity_ent(n, m, state, nodes)
-        worst_ent = max(worst_ent, abs(exact - approx))
+    worst_ent = _worst_mp_gap(
+        rng, "entangled", 4, 24, [1.0, 2.0, 4.0], quadrature.su2_quadrature_fidelity_ent,
+        lambda n, m: nodes_override or 2 * quadrature.su2_nodes_required(n, m),
+    )
     yield "su2-class", worst_ent, tol_ent
 
     worst_cg = 0.0
@@ -177,13 +167,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="clonebench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, family=True, fmt=True):
+    def add_common(p, family=True, formats=("csv", "json", "plain"), default_format="plain"):
         if family:
             p.add_argument("--family", choices=optimize.FAMILIES, default="qubit")
-        if fmt:
-            p.add_argument("--format", dest="output_format", choices=["csv", "json", "plain"],
-                           default="plain")
-            p.add_argument("--out", default=None, help="output path, '-' for stdout")
+        p.add_argument("--format", dest="output_format", choices=formats, default=default_format)
+        p.add_argument("--out", default=None, help="output path, '-' for stdout")
 
     p = sub.add_parser("clone-fidelity", help="exact optimal-cloner fidelity")
     p.add_argument("--n", type=int, required=True)
@@ -204,9 +192,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=_float_list, default=None, help="explicit lambda grid")
     p.add_argument("--lambda-rule", dest="lambda_rule", type=float, default=None,
                    help="power-rule exponent alpha: lambda = M^alpha")
-    p.add_argument("--family", choices=optimize.FAMILIES, default="qubit")
-    p.add_argument("--format", dest="output_format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    add_common(p, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize-prep", help="best prepared state via the kernel eigenproblem")
@@ -220,8 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--m", type=_int_list, required=True)
-    p.add_argument("--format", dest="output_format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default=None)
+    add_common(p, family=False, formats=("csv", "json"), default_format="csv")
     p.set_defaults(func=_cmd_appendix_check)
 
     p = sub.add_parser("oracle-check", help="closed forms vs brute-force quadrature oracles")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spin import (
+    PreparedState,
     SpinIndex,
     SpinLike,
     _check_copies,
@@ -26,49 +27,6 @@ from .spin import (
     total_spin_twice,
 )
 from .equatorial import _check_amplification, ansatz_cutoff
-
-_NORM_TOL = 1e-12
-
-
-@dataclass
-class PreparedStateEnt:
-    """Re-prepared M-copy state given by block weights p_j over the j-lattice."""
-
-    M: int
-    twice: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        _check_copies(self.M)
-        twice = np.asarray(self.twice, dtype=np.int64)
-        p = np.asarray(self.p, dtype=float)
-        if twice.shape != p.shape or twice.ndim != 1 or len(twice) == 0:
-            raise DomainError("support and weights must be matching 1-d arrays")
-        if np.any((twice - self.M) % 2 != 0):
-            raise DomainError("support is off the parity j-lattice of M copies")
-        if np.any(twice < 0) or np.any(twice > self.M):
-            raise DomainError("support must satisfy j_min <= j <= M/2")
-        if np.any(p < 0):
-            raise DomainError("block weights must be nonnegative")
-        order = np.argsort(twice)
-        twice, p = twice[order], p[order]
-        if len(np.unique(twice)) != len(twice):
-            raise DomainError("duplicate support points")
-        total = float(np.sum(p))
-        if abs(total - 1.0) > _NORM_TOL:
-            raise DomainError(f"block weights sum to {total}, not 1")
-        self.twice = twice
-        self.p = p
-
-    def __getitem__(self, j: SpinLike) -> float:
-        t = SpinIndex.of(j).twice
-        hits = np.nonzero(self.twice == t)[0]
-        return float(self.p[hits[0]]) if len(hits) else 0.0
-
-    def items(self):
-        for t, w in zip(self.twice, self.p):
-            yield SpinIndex(int(t)), float(w)
-
 
 @dataclass
 class CharPolynomial:
@@ -98,7 +56,7 @@ def seed_char_polynomial(n_copies: int) -> CharPolynomial:
     return CharPolynomial(twice=twice_j, alpha=sqrt_c)
 
 
-def prepared_char_polynomial(state: PreparedStateEnt) -> CharPolynomial:
+def prepared_char_polynomial(state: PreparedState) -> CharPolynomial:
     """Character expansion of the prepared-state overlap: sum_j sqrt(p_j c_j) chi_j / d_j."""
     sqrt_pc = np.sqrt(state.p) * np.exp(0.5 * log_irrep_weight(state.M, state.twice))
     return CharPolynomial(twice=state.twice, alpha=sqrt_pc / (state.twice + 1.0))
@@ -149,15 +107,15 @@ def cg_overlap_count(j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike) -> 
     return max(0, (hi - lo) // 2 + 1)
 
 
-def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedStateEnt:
+def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
     """Prepared state with block weights c_j^{(K)}, K = M/lambda rounded to the M-lattice."""
     k, _ = ansatz_cutoff(m_copies, lam)
     twice_j = total_spin_twice(k)
     p = np.exp(log_irrep_weight(k, twice_j))
-    return PreparedStateEnt(M=m_copies, twice=twice_j, p=p / np.sum(p))
+    return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
 
 
-def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedStateEnt) -> float:
+def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) -> float:
     """Exact measure-and-prepare fidelity with the square-root-measurement seed.
 
     Evaluates the Haar integral of the two density class functions as the
@@ -167,8 +125,7 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedStateEnt)
     inside the count is vacuous here.
     """
     _check_copies(n_copies)
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("entangled", m_copies)
     t_n, w = sqrt_irrep_weights(n_copies)
     t_m = state.twice
     v = np.sqrt(state.p) * np.exp(0.5 * log_irrep_weight(m_copies, t_m))
@@ -186,10 +143,9 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedStateEnt)
     return total
 
 
-def avg_state_expectation_ent(m_copies: int, state: PreparedStateEnt) -> float:
+def avg_state_expectation_ent(m_copies: int, state: PreparedState) -> float:
     """Overlap of the prepared state with the group-averaged M-copy state."""
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("entangled", m_copies)
     c = np.exp(log_irrep_weight(m_copies, state.twice))
     d = state.twice + 1.0
     return float(np.dot(state.p, c / (d * d)))

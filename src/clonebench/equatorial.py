@@ -17,67 +17,13 @@ import numpy as np
 
 from .errors import DomainError
 from .spin import (
-    SpinIndex,
-    SpinLike,
+    PreparedState,
     _check_copies,
     dicke_twice,
     log_binomial_weight,
     central_binomial_weight,
     sqrt_binomial_weights,
 )
-
-_NORM_TOL = 1e-12
-
-
-@dataclass
-class PreparedStateQubit:
-    """Re-prepared M-copy state given by Dicke-basis weights p_{M,m}.
-
-    The support is stored densely on a contiguous stretch of the doubled
-    projection lattice (zeros fill any gaps), so autocorrelations reduce to
-    shifted dot products.
-    """
-
-    M: int
-    twice: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        _check_copies(self.M)
-        twice = np.asarray(self.twice, dtype=np.int64)
-        p = np.asarray(self.p, dtype=float)
-        if twice.shape != p.shape or twice.ndim != 1 or len(twice) == 0:
-            raise DomainError("support and weights must be matching 1-d arrays")
-        if np.any((twice - self.M) % 2 != 0):
-            raise DomainError("support is off the parity lattice of M copies")
-        if np.any(np.abs(twice) > self.M):
-            raise DomainError("support exceeds |m| <= M/2")
-        if np.any(p < 0):
-            raise DomainError("prepared-state weights must be nonnegative")
-        order = np.argsort(twice)
-        twice, p = twice[order], p[order]
-        if len(np.unique(twice)) != len(twice):
-            raise DomainError("duplicate support points")
-        full = np.arange(twice[0], twice[-1] + 1, 2, dtype=np.int64)
-        dense = np.zeros(len(full))
-        dense[(twice - twice[0]) // 2] = p
-        total = float(np.sum(dense))
-        if abs(total - 1.0) > _NORM_TOL:
-            raise DomainError(f"prepared-state weights sum to {total}, not 1")
-        self.twice = full
-        self.p = dense
-
-    def __getitem__(self, n: SpinLike) -> float:
-        t = SpinIndex.of(n).twice
-        off = t - int(self.twice[0])
-        if off % 2 != 0 or off < 0 or off // 2 >= len(self.twice):
-            return 0.0
-        return float(self.p[off // 2])
-
-    def items(self):
-        for t, w in zip(self.twice, self.p):
-            yield SpinIndex(int(t)), float(w)
-
 
 @dataclass
 class FourierDensity:
@@ -164,7 +110,7 @@ def ansatz_cutoff(m_copies: int, lam: float) -> tuple[int, bool]:
     Returns (K, clamped).
     """
     _check_copies(m_copies)
-    if lam < 1:
+    if not lam >= 1:  # also rejects NaN
         raise DomainError(f"lambda must be >= 1, got {lam}")
     ratio = m_copies / lam
     parity = m_copies % 2
@@ -175,7 +121,7 @@ def ansatz_cutoff(m_copies: int, lam: float) -> tuple[int, bool]:
     return min(k, m_copies), False
 
 
-def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedStateQubit:
+def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedState:
     """Prepared state with weights b_{K,m}, K = M/lambda rounded to the M-lattice.
 
     lambda = 1 reproduces M identical copies of the estimated state; larger
@@ -185,10 +131,10 @@ def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedStateQubit:
     twice = dicke_twice(k)
     p = np.exp(log_binomial_weight(k, twice))
     # gammaln sums drift by ~K*eps in the log; rescale so the weights sum to 1.
-    return PreparedStateQubit(M=m_copies, twice=twice, p=p / np.sum(p))
+    return PreparedState("qubit", M=m_copies, twice=twice, p=p / np.sum(p))
 
 
-def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedStateQubit) -> float:
+def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedState) -> float:
     """Exact measure-and-prepare fidelity for the covariant phase measurement.
 
     Evaluates the phase integral as the finite convolution sum_k a_k c_{-k},
@@ -196,8 +142,7 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedStateQubit) -
     the sqrt(p_m b_{M,m}) vector.  Cost O(N M).
     """
     _check_copies(n_copies)
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("qubit", m_copies)
     a = outcome_density_fourier(n_copies).coeffs
     v = np.sqrt(state.p) * np.exp(0.5 * log_binomial_weight(m_copies, state.twice))
     terms = [a[0] * float(np.dot(v, v))]
@@ -206,10 +151,9 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedStateQubit) -
     return math.fsum(terms)
 
 
-def avg_state_expectation(m_copies: int, state: PreparedStateQubit) -> float:
+def avg_state_expectation(m_copies: int, state: PreparedState) -> float:
     """Overlap of the prepared state with the phase-averaged M-copy state."""
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("qubit", m_copies)
     return float(np.dot(state.p, np.exp(log_binomial_weight(m_copies, state.twice))))
 
 

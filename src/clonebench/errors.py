@@ -11,7 +11,7 @@ class ConvergenceError(RuntimeError):
     Attributes
     ----------
     residual : float
-        Norm of the eigen-residual at the last iterate.
+        Norm of the eigen-residual at the last iterate (NaN if none was formed).
     iterations : int
         Number of iterations performed.
     """

@@ -8,29 +8,66 @@ lower bound on the optimal estimation fidelity, and it upper-bounds every
 cutoff-ansatz value, giving the dominance chain
 F_naive <= F_lambda <= lambda_max(A) <= F_clon.
 
-The entangled family is handled by the cutoff-ansatz sweep only; wiring the
-analogous character-integral kernel into the same eigenproblem is a
-straightforward extension point but is deliberately not part of this module.
+Which evaluators make up a family is decided here, by the FAMILIES registry.
+The entangled family has no kernel and is handled by the cutoff-ansatz sweep
+only; wiring the analogous character-integral kernel into the same
+eigenproblem is a straightforward extension point but is deliberately not
+part of this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import entangled, equatorial
 from .errors import ConvergenceError, DomainError
-from .equatorial import PreparedStateQubit, outcome_density_fourier
-from .spin import _check_copies, dicke_twice, log_binomial_weight
-
-FAMILIES = ("qubit", "entangled")
+from .equatorial import outcome_density_fourier
+from .spin import PreparedState, _check_copies, dicke_twice, log_binomial_weight
 
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+@dataclass(frozen=True)
+class Family:
+    """The evaluators that make up one family's N -> M cloning question.
+
+    `has_kernel` marks the families whose measure-and-prepare optimum has the
+    Perron eigen bound of build_quadratic_form.
+    """
+
+    clone_fidelity: Callable[[int, int], float]
+    ansatz: Callable[[int, float], PreparedState]
+    mp_fidelity: Callable[[int, int, PreparedState], float]
+    has_kernel: bool
+
+    @staticmethod
+    def named(name: str) -> "Family":
+        """The registered family called `name`; DomainError for any other name."""
+        if name not in FAMILIES:
+            raise DomainError(f"family must be one of {tuple(FAMILIES)}, got {name!r}")
+        return FAMILIES[name]
+
+
+# The entries look the evaluators up in their modules at call time rather
+# than holding the function objects, so a rebound module attribute (a tracer
+# or a test double) is what runs.  Process-pool tasks carry the family name,
+# since these lambdas do not pickle.
+FAMILIES: dict[str, Family] = {
+    "qubit": Family(
+        clone_fidelity=lambda n, m: equatorial.clone_fidelity_exact(n, m),
+        ansatz=lambda m, lam: equatorial.prepared_state_ansatz(m, lam),
+        mp_fidelity=lambda n, m, state: equatorial.mp_fidelity_exact(n, m, state),
+        has_kernel=True,
+    ),
+    "entangled": Family(
+        clone_fidelity=lambda n, m: entangled.eco_clone_fidelity_exact(n, m),
+        ansatz=lambda m, lam: entangled.prepared_state_ansatz_ent(m, lam),
+        mp_fidelity=lambda n, m, state: entangled.mp_fidelity_exact_ent(n, m, state),
+        has_kernel=False,
+    ),
+}
 
 
 @dataclass
@@ -86,15 +123,18 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
 
 def optimal_prepared_state(
     form: QuadraticForm, tol: float = 1e-13, max_iter: int = 50_000
-) -> tuple[float, PreparedStateQubit]:
+) -> tuple[float, PreparedState]:
     """Dominant eigenpair of the fidelity kernel by deterministic power iteration.
 
     Starts from the uniform positive vector (the kernel is nonnegative, so the
     iterates stay nonnegative and converge to the Perron eigenvector) and
     stops when the Rayleigh quotient changes by at most `tol` per step.  The
     returned fidelity is the Rayleigh quotient of the returned state, so
-    replaying the state through the exact evaluator reproduces it.
+    replaying the state through the exact evaluator reproduces it.  A negative
+    or NaN `tol` can never be met and raises ConvergenceError at once.
     """
+    if not tol >= 0:
+        raise ConvergenceError(f"tolerance {tol} can never be met", math.nan, 0)
     dim = form.dimension
     q = np.full(dim, 1.0 / math.sqrt(dim))
     rayleigh = float(q @ form.matvec(q))
@@ -117,8 +157,8 @@ def optimal_prepared_state(
             residual,
             max_iter,
         )
-    state = PreparedStateQubit(
-        M=form.m_copies, twice=dicke_twice(form.m_copies), p=q * q
+    state = PreparedState(
+        "qubit", M=form.m_copies, twice=dicke_twice(form.m_copies), p=q * q
     )
     return rayleigh, state
 
@@ -136,19 +176,14 @@ def lambda_sweep(
     n_copies: int, m_copies: int, grid, family: str = "qubit"
 ) -> LambdaSweepResult:
     """Exact measure-and-prepare fidelity at each lambda; smallest lambda wins ties."""
-    _check_family(family)
+    evaluators = Family.named(family)
     lambdas = sorted({float(lam) for lam in grid})
     if not lambdas:
         raise DomainError("lambda grid must be non-empty")
     rows = []
     for lam in lambdas:
-        if family == "qubit":
-            state = equatorial.prepared_state_ansatz(m_copies, lam)
-            fidelity = equatorial.mp_fidelity_exact(n_copies, m_copies, state)
-        else:
-            state_ent = entangled.prepared_state_ansatz_ent(m_copies, lam)
-            fidelity = entangled.mp_fidelity_exact_ent(n_copies, m_copies, state_ent)
-        rows.append((lam, fidelity))
+        state = evaluators.ansatz(m_copies, lam)
+        rows.append((lam, evaluators.mp_fidelity(n_copies, m_copies, state)))
     best_lambda, best_fidelity = rows[0]
     for lam, fidelity in rows[1:]:
         if fidelity > best_fidelity:
@@ -158,13 +193,16 @@ def lambda_sweep(
 
 @dataclass(frozen=True)
 class GapRow:
-    """Relative shortfall of measure-and-prepare versus the optimal cloner."""
+    """Relative shortfall of measure-and-prepare versus the optimal cloner, with
+    the ansatz sweep and the kernel eigenvalue (None without a kernel) behind it."""
 
     n_copies: int
     m_copies: int
     f_clon: float
     f_est_proxy: float
     delta: float
+    sweep: LambdaSweepResult
+    f_eig: float | None
 
 
 def default_lambda_grid(m_copies: int) -> tuple[float, ...]:
@@ -190,23 +228,24 @@ def relative_gap(
     also the kernel eigenvalue; both are achievable measure-and-prepare
     fidelities, so the proxy is a lower bound on the true optimum.
     """
-    _check_family(family)
+    evaluators = Family.named(family)
     if lambdas is None:
         lambdas = default_lambda_grid(m_copies)
     sweep = lambda_sweep(n_copies, m_copies, lambdas, family=family)
+    f_clon = evaluators.clone_fidelity(n_copies, m_copies)
+    f_eig = None
     f_est = sweep.best_fidelity
-    if family == "qubit":
-        f_clon = equatorial.clone_fidelity_exact(n_copies, m_copies)
-        eigenvalue, _ = optimal_prepared_state(
+    if evaluators.has_kernel:
+        f_eig, _ = optimal_prepared_state(
             build_quadratic_form(n_copies, m_copies), tol=tol
         )
-        f_est = max(f_est, eigenvalue)
-    else:
-        f_clon = entangled.eco_clone_fidelity_exact(n_copies, m_copies)
+        f_est = max(f_est, f_eig)
     return GapRow(
         n_copies=n_copies,
         m_copies=m_copies,
         f_clon=f_clon,
         f_est_proxy=f_est,
         delta=(f_clon - f_est) / f_clon,
+        sweep=sweep,
+        f_eig=f_eig,
     )

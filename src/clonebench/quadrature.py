@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .entangled import (
-    PreparedStateEnt,
-    prepared_char_polynomial,
-    seed_char_polynomial,
+from .entangled import prepared_char_polynomial, seed_char_polynomial
+from .spin import (
+    PreparedState,
+    SpinIndex,
+    SpinLike,
+    log_binomial_weight,
+    sqrt_binomial_weights,
 )
-from .equatorial import PreparedStateQubit
-from .spin import SpinIndex, SpinLike, log_binomial_weight, sqrt_binomial_weights
 
 
 class QuadratureWarning(UserWarning):
@@ -59,15 +60,14 @@ def _warn_if_coarse(nodes: int, required: int) -> None:
 
 
 def phase_quadrature_fidelity(
-    n_copies: int, m_copies: int, state: PreparedStateQubit, nodes: int
+    n_copies: int, m_copies: int, state: PreparedState, nodes: int
 ) -> float:
     """Equispaced phase-circle quadrature of the measure-and-prepare integral.
 
     The integrand is a trigonometric polynomial of bandwidth N+M, so the rule
     is exact for nodes >= 2(N+M)+1.
     """
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("qubit", m_copies)
     _warn_if_coarse(nodes, phase_nodes_required(n_copies, m_copies))
     theta = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
     sb = sqrt_binomial_weights(n_copies)
@@ -116,11 +116,10 @@ def su2_nodes_required(n_copies: int, m_copies: int) -> int:
 
 
 def su2_quadrature_fidelity_ent(
-    n_copies: int, m_copies: int, state: PreparedStateEnt, nodes: int
+    n_copies: int, m_copies: int, state: PreparedState, nodes: int
 ) -> float:
     """Class-function quadrature of the entangled measure-and-prepare integral."""
-    if state.M != m_copies:
-        raise DomainError(f"prepared state is for M={state.M}, expected {m_copies}")
+    state.check("entangled", m_copies)
     _warn_if_coarse(nodes, su2_nodes_required(n_copies, m_copies))
     phi = _class_angles(nodes)
     seed = seed_char_polynomial(n_copies).evaluate(phi)

@@ -19,19 +19,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 from . import __version__ as _version
-from . import entangled, equatorial, optimize
+from . import equatorial, optimize
 from .errors import DomainError
 from .equatorial import ansatz_cutoff
 
 logger = logging.getLogger(__name__)
 
 WORKERS_ENV = "CLONEBENCH_WORKERS"
-
-CSV_COLUMNS = (
-    "family,N,M,lambda,f_clon,f_mp,f_naive,f_eig,ratio_naive,delta,wall_time_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,13 @@ class SweepConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        optimize._check_family(self.family)
+        optimize.Family.named(self.family)
         if (self.lambda_grid is None) == (self.lambda_exponent is None):
             raise DomainError("give exactly one of lambda_grid / lambda_exponent")
         if self.lambda_grid is not None:
             if not self.lambda_grid:
                 raise DomainError("lambda grid must be non-empty")
-            if any(lam < 1 for lam in self.lambda_grid):
+            if any(not lam >= 1 for lam in self.lambda_grid):  # also rejects NaN
                 raise DomainError("every lambda must be >= 1")
         if self.lambda_exponent is not None and not 0 < self.lambda_exponent < 1:
             raise DomainError("lambda exponent must lie in (0, 1)")
@@ -99,46 +96,34 @@ class SweepReport:
 def _compute_row(task) -> SweepRow:
     family, n_copies, m_copies, lambdas = task
     start = time.perf_counter()
-    sweep = optimize.lambda_sweep(n_copies, m_copies, lambdas, family=family)
-    if family == "qubit":
-        f_clon = equatorial.clone_fidelity_exact(n_copies, m_copies)
-        naive = equatorial.mp_fidelity_exact(
-            n_copies, m_copies, equatorial.prepared_state_ansatz(m_copies, 1.0)
-        )
-        f_eig, _ = optimize.optimal_prepared_state(
-            optimize.build_quadratic_form(n_copies, m_copies)
-        )
-    else:
-        f_clon = entangled.eco_clone_fidelity_exact(n_copies, m_copies)
-        naive = entangled.mp_fidelity_exact_ent(
-            n_copies, m_copies, entangled.prepared_state_ansatz_ent(m_copies, 1.0)
-        )
-        f_eig = None
-    f_est = sweep.best_fidelity if f_eig is None else max(sweep.best_fidelity, f_eig)
+    gap = optimize.relative_gap(n_copies, m_copies, family, lambdas)
+    evaluators = optimize.Family.named(family)
+    naive = evaluators.mp_fidelity(n_copies, m_copies, evaluators.ansatz(m_copies, 1.0))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return SweepRow(
         family=family,
         n_copies=n_copies,
         m_copies=m_copies,
-        lam=sweep.best_lambda,
-        f_clon=f_clon,
-        f_mp=sweep.best_fidelity,
+        lam=gap.sweep.best_lambda,
+        f_clon=gap.f_clon,
+        f_mp=gap.sweep.best_fidelity,
         f_naive=naive,
-        f_eig=f_eig,
-        ratio_naive=naive / f_clon,
-        delta=(f_clon - f_est) / f_clon,
+        f_eig=gap.f_eig,
+        ratio_naive=naive / gap.f_clon,
+        delta=gap.delta,
         wall_time_ms=elapsed_ms,
     )
 
 
-def _worker_count() -> int:
+def _worker_count(task_count: int) -> int:
+    """CLONEBENCH_WORKERS, clamped to the CPU count and to the number of tasks."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         count = int(raw)
     except ValueError:
         logger.warning("ignoring non-integer %s=%r", WORKERS_ENV, raw)
         return 1
-    return max(1, count)
+    return max(1, min(count, os.cpu_count() or 1, task_count))
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -163,8 +148,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                         lam,
                     )
             tasks.append((config.family, n_copies, m_copies, config.lambdas_for(m_copies)))
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, tasks))
     else:
@@ -210,60 +195,90 @@ def appendix_check(n_copies: int, lam: float, m_values) -> list[AppendixRow]:
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
+class _Column(NamedTuple):
+    """One report column: its CSV header / JSON key, the row field, the CSV cell parser."""
+
+    name: str
+    field: str
+    parse: Callable[[str], object]
+
+
+def _optional_float(cell: str) -> float | None:
+    return float(cell) if cell else None
+
+
+SWEEP_COLUMNS = (
+    _Column("family", "family", str),
+    _Column("N", "n_copies", int),
+    _Column("M", "m_copies", int),
+    _Column("lambda", "lam", float),
+    _Column("f_clon", "f_clon", float),
+    _Column("f_mp", "f_mp", float),
+    _Column("f_naive", "f_naive", float),
+    _Column("f_eig", "f_eig", _optional_float),
+    _Column("ratio_naive", "ratio_naive", float),
+    _Column("delta", "delta", float),
+    _Column("wall_time_ms", "wall_time_ms", float),
+)
+
+APPENDIX_COLUMNS = (
+    _Column("M", "m_copies", int),
+    _Column("f_exact", "f_exact", float),
+    _Column("f_zeroth", "f_zeroth", float),
+    _Column("f_second", "f_second", float),
+    _Column("gap_ratio", "gap_ratio", float),
+)
+
+CSV_COLUMNS = ",".join(column.name for column in SWEEP_COLUMNS)
+
+
+def _fmt(value):
+    """Text of one CSV or plain-text field: floats to 12 significant digits,
+    None to an empty field, the rest as is."""
+    if value is None:
+        return ""
+    return f"{value:.12g}" if isinstance(value, float) else value
+
+
+def _json_value(value):
+    """Floats rounded to 12 significant digits, the rest as is."""
+    return float(f"{value:.12g}") if isinstance(value, float) else value
+
+
+def _csv_text(header, records) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in record] for record in records)
+    return buffer.getvalue()
+
+
+def _csv_rows(rows, columns) -> str:
+    return _csv_text(
+        [column.name for column in columns],
+        ([getattr(row, column.field) for column in columns] for row in rows),
+    )
+
+
+def _json_rows(rows, columns) -> list[dict]:
+    return [
+        {column.name: _json_value(getattr(row, column.field)) for column in columns}
+        for row in rows
+    ]
 
 
 def serialize_report(report: SweepReport, output_format: str) -> str:
     """CSV (fixed 11-column header) or JSON (with version/config metadata)."""
     if output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS.split(","))
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.family,
-                    row.n_copies,
-                    row.m_copies,
-                    _fmt(row.lam),
-                    _fmt(row.f_clon),
-                    _fmt(row.f_mp),
-                    _fmt(row.f_naive),
-                    _fmt(row.f_eig),
-                    _fmt(row.ratio_naive),
-                    _fmt(row.delta),
-                    _fmt(row.wall_time_ms),
-                ]
-            )
-        return buffer.getvalue()
+        return _csv_rows(report.rows, SWEEP_COLUMNS)
     if output_format == "json":
         payload = {
             "version": report.version,
             "config_hash": report.config_hash,
-            "rows": [
-                {
-                    "family": row.family,
-                    "N": row.n_copies,
-                    "M": row.m_copies,
-                    "lambda": _round12(row.lam),
-                    "f_clon": _round12(row.f_clon),
-                    "f_mp": _round12(row.f_mp),
-                    "f_naive": _round12(row.f_naive),
-                    "f_eig": _round12(row.f_eig),
-                    "ratio_naive": _round12(row.ratio_naive),
-                    "delta": _round12(row.delta),
-                    "wall_time_ms": _round12(row.wall_time_ms),
-                }
-                for row in report.rows
-            ],
+            "rows": _json_rows(report.rows, SWEEP_COLUMNS),
         }
         return json.dumps(payload, indent=2) + "\n"
     raise DomainError(f"unknown output format {output_format!r}")
-
-
-def _round12(value: float | None) -> float | None:
-    return None if value is None else float(f"{value:.12g}")
 
 
 def parse_report(text: str, output_format: str) -> SweepReport:
@@ -271,44 +286,19 @@ def parse_report(text: str, output_format: str) -> SweepReport:
     if output_format == "csv":
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
-        if header != CSV_COLUMNS.split(","):
+        if header != [column.name for column in SWEEP_COLUMNS]:
             raise DomainError("unexpected CSV header")
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            rows.append(
-                SweepRow(
-                    family=record[0],
-                    n_copies=int(record[1]),
-                    m_copies=int(record[2]),
-                    lam=float(record[3]),
-                    f_clon=float(record[4]),
-                    f_mp=float(record[5]),
-                    f_naive=float(record[6]),
-                    f_eig=float(record[7]) if record[7] else None,
-                    ratio_naive=float(record[8]),
-                    delta=float(record[9]),
-                    wall_time_ms=float(record[10]),
-                )
-            )
+        rows = [
+            SweepRow(**{column.field: column.parse(cell)
+                        for column, cell in zip(SWEEP_COLUMNS, record)})
+            for record in reader
+            if record
+        ]
         return SweepReport(rows=rows)
     if output_format == "json":
         payload = json.loads(text)
         rows = [
-            SweepRow(
-                family=item["family"],
-                n_copies=item["N"],
-                m_copies=item["M"],
-                lam=item["lambda"],
-                f_clon=item["f_clon"],
-                f_mp=item["f_mp"],
-                f_naive=item["f_naive"],
-                f_eig=item["f_eig"],
-                ratio_naive=item["ratio_naive"],
-                delta=item["delta"],
-                wall_time_ms=item["wall_time_ms"],
-            )
+            SweepRow(**{column.field: item[column.name] for column in SWEEP_COLUMNS})
             for item in payload["rows"]
         ]
         return SweepReport(
@@ -321,30 +311,19 @@ def parse_report(text: str, output_format: str) -> SweepReport:
 
 def serialize_appendix(rows: list[AppendixRow], output_format: str) -> str:
     if output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["M", "f_exact", "f_zeroth", "f_second", "gap_ratio"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.m_copies,
-                    _fmt(row.f_exact),
-                    _fmt(row.f_zeroth),
-                    _fmt(row.f_second),
-                    _fmt(row.gap_ratio),
-                ]
-            )
-        return buffer.getvalue()
+        return _csv_rows(rows, APPENDIX_COLUMNS)
     if output_format == "json":
-        payload = [
-            {
-                "M": row.m_copies,
-                "f_exact": _round12(row.f_exact),
-                "f_zeroth": _round12(row.f_zeroth),
-                "f_second": _round12(row.f_second),
-                "gap_ratio": _round12(row.gap_ratio),
-            }
-            for row in rows
-        ]
+        return json.dumps(_json_rows(rows, APPENDIX_COLUMNS), indent=2) + "\n"
+    raise DomainError(f"unknown output format {output_format!r}")
+
+
+def serialize_scalar(payload: dict, output_format: str) -> str:
+    """One scalar command's result: `key=value` pairs (plain), a header and a
+    value row (CSV), or the payload as a JSON object."""
+    if output_format == "json":
         return json.dumps(payload, indent=2) + "\n"
+    if output_format == "csv":
+        return _csv_text(payload.keys(), [payload.values()])
+    if output_format == "plain":
+        return ", ".join(f"{key}={_fmt(value)}" for key, value in payload.items()) + "\n"
     raise DomainError(f"unknown output format {output_format!r}")

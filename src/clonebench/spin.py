@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -47,9 +47,6 @@ class SpinIndex:
     def __add__(self, other: "SpinIndex") -> "SpinIndex":
         return SpinIndex(self.twice + other.twice)
 
-    def __sub__(self, other: "SpinIndex") -> "SpinIndex":
-        return SpinIndex(self.twice - other.twice)
-
     def __neg__(self) -> "SpinIndex":
         return SpinIndex(-self.twice)
 
@@ -64,12 +61,6 @@ def _check_copies(n_copies: int) -> None:
         raise DomainError(f"copy number must be a positive integer, got {n_copies!r}")
 
 
-def j_min_twice(n_copies: int) -> int:
-    """Doubled value of the smallest total-spin label: j_min = 0 (even N) or 1/2 (odd N)."""
-    _check_copies(n_copies)
-    return n_copies % 2
-
-
 def dicke_twice(n_copies: int) -> np.ndarray:
     """Doubled projection lattice -N, -N+2, ..., N for N copies."""
     _check_copies(n_copies)
@@ -77,16 +68,10 @@ def dicke_twice(n_copies: int) -> np.ndarray:
 
 
 def total_spin_twice(n_copies: int) -> np.ndarray:
-    """Doubled total-spin lattice j_min, j_min+1, ..., N/2 for N copies."""
-    return np.arange(j_min_twice(n_copies), n_copies + 1, 2, dtype=np.int64)
-
-
-def dicke_lattice(n_copies: int) -> list[SpinIndex]:
-    return [SpinIndex(int(t)) for t in dicke_twice(n_copies)]
-
-
-def total_spin_lattice(n_copies: int) -> list[SpinIndex]:
-    return [SpinIndex(int(t)) for t in total_spin_twice(n_copies)]
+    """Doubled total-spin lattice j_min, j_min+1, ..., N/2 for N copies, where
+    j_min = 0 for even N and 1/2 for odd N."""
+    _check_copies(n_copies)
+    return np.arange(n_copies % 2, n_copies + 1, 2, dtype=np.int64)
 
 
 def log_binomial_weight(n_copies: int, twice: np.ndarray | int) -> np.ndarray:
@@ -132,12 +117,6 @@ def central_binomial_weight(n_copies: int) -> float:
     """Weight of the central lattice point: n=0 for even N, |n|=1/2 for odd N."""
     _check_copies(n_copies)
     return binomial_weight(n_copies, SpinIndex(n_copies % 2))
-
-
-def gaussian_weight(n_copies: int, x: float) -> float:
-    """Gaussian surrogate sqrt(2/(pi N)) exp(-2 x^2 / N) of the binomial weights."""
-    _check_copies(n_copies)
-    return math.sqrt(2.0 / (math.pi * n_copies)) * math.exp(-2.0 * x * x / n_copies)
 
 
 def multiplicity(n_copies: int, j: SpinLike) -> int:
@@ -203,63 +182,65 @@ def sqrt_irrep_weights(n_copies: int) -> tuple[np.ndarray, np.ndarray]:
 
 _NORM_TOL = 1e-12
 
+# Lowest doubled label of each family's lattice, per copy: Dicke projections
+# start at m = -M/2, total spins at j = 0 (parity then leaves j_min).
+_FLOOR_PER_COPY = {"qubit": -1, "entangled": 0}
+
 
 @dataclass
-class WeightVector:
-    """Normalized nonnegative weights over a spin lattice.
+class PreparedState:
+    """Re-prepared M-copy state given by weights p over a doubled spin lattice.
 
-    `twice` is the doubled lattice (ascending, step 2) and `log_sqrt` holds
-    log of the square roots, kept so downstream products of square-root
-    weights never pass through an underflowed probability.
+    For the "qubit" family the labels are Dicke projections m with
+    |m| <= M/2 and p holds p_{M,m}; for the "entangled" family they are total
+    spins j_min <= j <= M/2 and p holds block weights p_j.  The support is
+    stored densely on a contiguous stretch of the lattice (zeros fill any
+    gaps), so autocorrelations reduce to shifted dot products.
     """
 
-    n_copies: int
+    family: str
+    M: int
     twice: np.ndarray
-    weights: np.ndarray
-    log_sqrt: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        _check_copies(self.n_copies)
-        self.twice = np.asarray(self.twice, dtype=np.int64)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.log_sqrt = np.asarray(self.log_sqrt, dtype=float)
-        if np.any((self.twice - self.n_copies) % 2 != 0):
-            raise DomainError("support is off the parity lattice of n_copies")
-        if np.any(np.diff(self.twice) != 2):
-            raise DomainError("support must be an ascending step-2 doubled lattice")
-        if np.any(self.weights < 0):
-            raise DomainError("weights must be nonnegative")
-        total = float(np.sum(self.weights))
+        if self.family not in _FLOOR_PER_COPY:
+            raise DomainError(f"unknown prepared-state family {self.family!r}")
+        _check_copies(self.M)
+        twice = np.asarray(self.twice, dtype=np.int64)
+        p = np.asarray(self.p, dtype=float)
+        if twice.shape != p.shape or twice.ndim != 1 or len(twice) == 0:
+            raise DomainError("support and weights must be matching 1-d arrays")
+        if np.any((twice - self.M) % 2 != 0):
+            raise DomainError("support is off the parity lattice of M copies")
+        floor = _FLOOR_PER_COPY[self.family] * self.M
+        if np.any(twice < floor) or np.any(twice > self.M):
+            raise DomainError(f"support exceeds the {self.family} lattice of M copies")
+        if np.any(p < 0):
+            raise DomainError("prepared-state weights must be nonnegative")
+        order = np.argsort(twice)
+        twice, p = twice[order], p[order]
+        if len(np.unique(twice)) != len(twice):
+            raise DomainError("duplicate support points")
+        full = np.arange(twice[0], twice[-1] + 1, 2, dtype=np.int64)
+        dense = np.zeros(len(full))
+        dense[(twice - twice[0]) // 2] = p
+        total = float(np.sum(dense))
         if abs(total - 1.0) > _NORM_TOL:
-            raise DomainError(f"weights sum to {total}, not 1 within {_NORM_TOL}")
-
-    @classmethod
-    def binomial(cls, n_copies: int) -> "WeightVector":
-        return cls._from_log(n_copies, dicke_twice(n_copies),
-                             log_binomial_weight(n_copies, dicke_twice(n_copies)))
-
-    @classmethod
-    def irrep(cls, n_copies: int) -> "WeightVector":
-        return cls._from_log(n_copies, total_spin_twice(n_copies),
-                             log_irrep_weight(n_copies, total_spin_twice(n_copies)))
-
-    @classmethod
-    def _from_log(cls, n_copies, twice, log_w):
-        weights = np.exp(log_w)
-        total = np.sum(weights)
-        # gammaln sums drift by ~N*eps in the log; rescale so the sum is 1.
-        return cls(n_copies, twice, weights / total, 0.5 * (log_w - math.log(total)))
+            raise DomainError(f"prepared-state weights sum to {total}, not 1")
+        self.twice = full
+        self.p = dense
 
     def __getitem__(self, n: SpinLike) -> float:
         t = SpinIndex.of(n).twice
-        pos = (t - int(self.twice[0])) // 2
-        if (t - int(self.twice[0])) % 2 != 0 or pos < 0 or pos >= len(self.twice):
-            raise KeyError(f"spin label {t}/2 not on the support lattice")
-        return float(self.weights[pos])
+        off = t - int(self.twice[0])
+        if off % 2 != 0 or off < 0 or off // 2 >= len(self.twice):
+            return 0.0
+        return float(self.p[off // 2])
 
-    def items(self) -> Iterator[tuple[SpinIndex, float]]:
-        for t, w in zip(self.twice, self.weights):
-            yield SpinIndex(int(t)), float(w)
-
-    def __len__(self) -> int:
-        return len(self.twice)
+    def check(self, family: str, m_copies: int) -> None:
+        """Reject use by another family's evaluator or at another copy number."""
+        if self.family != family:
+            raise DomainError(f"prepared state is of the {self.family} family, not {family}")
+        if self.M != m_copies:
+            raise DomainError(f"prepared state is for M={self.M}, expected {m_copies}")

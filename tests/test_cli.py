@@ -26,6 +26,15 @@ class TestScalarCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["f_mp"] == pytest.approx(0.75, abs=1e-12)
 
+    def test_scalar_csv_is_header_and_value_row(self, capsys):
+        assert main(["clone-fidelity", "--n", "1", "--m", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "family,N,M,f_clon\nqubit,1,3,0.75\n"
+        assert main(["mp-fidelity", "--family", "entangled", "--n", "1", "--m", "1",
+                     "--format", "csv"]) == 0
+        header, values = capsys.readouterr().out.strip().split("\n")
+        assert header == "family,N,M,lambda,f_mp"
+        assert values == "entangled,1,1,1,0.5"
+
     def test_optimize_prep_replay_consistency(self, capsys):
         assert main(["optimize-prep", "--n", "2", "--m", "16", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -93,8 +102,13 @@ class TestExitStatuses:
         assert main(["frobnicate"]) == 1
 
     def test_domain_error_is_config_error(self, capsys):
-        assert main(["clone-fidelity", "--n", "4", "--m", "2"]) == 1
-        assert "configuration error" in capsys.readouterr().err
+        for argv in (
+            ["clone-fidelity", "--n", "4", "--m", "2"],
+            ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "nan"],
+            ["sweep", "--n", "2", "--m", "4", "--grid", "nan"],
+        ):
+            assert main(argv) == 1
+            assert "configuration error" in capsys.readouterr().err
 
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "-1"])

@@ -5,7 +5,7 @@ import pytest
 
 from clonebench import (
     DomainError,
-    PreparedStateEnt,
+    PreparedState,
     avg_state_expectation_ent,
     central_binomial_weight,
     cg_overlap_count,
@@ -14,6 +14,7 @@ from clonebench import (
     eco_clone_fidelity_large_n,
     mp_fidelity_exact_ent,
     p_true_ent,
+    prepared_state_ansatz,
     prepared_state_ansatz_ent,
 )
 from clonebench.entangled import prepared_char_polynomial, seed_char_polynomial
@@ -159,6 +160,10 @@ class TestMpFidelityExactEnt:
         with pytest.raises(DomainError):
             mp_fidelity_exact_ent(1, 3, prepared_state_ansatz_ent(5, 1.0))
 
+    def test_qubit_state_rejected(self):
+        with pytest.raises(DomainError):
+            mp_fidelity_exact_ent(2, 4, prepared_state_ansatz(4, 1.0))
+
 
 class TestAvgStateExpectationEnt:
     def test_two_copy_naive(self):
@@ -171,7 +176,7 @@ class TestAvgStateExpectationEnt:
         assert value == pytest.approx(2 * central_binomial_weight(2048) / 2048, rel=0.05)
 
     def test_point_mass_at_j_min(self):
-        state = PreparedStateEnt(M=6, twice=np.array([0]), p=np.array([1.0]))
+        state = PreparedState("entangled", M=6, twice=np.array([0]), p=np.array([1.0]))
         from _oracles import frac_irrep_weight
 
         assert avg_state_expectation_ent(6, state) == pytest.approx(

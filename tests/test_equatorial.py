@@ -6,7 +6,7 @@ import pytest
 from clonebench import (
     DomainError,
     FourierDensity,
-    PreparedStateQubit,
+    PreparedState,
     ansatz_cutoff,
     avg_state_expectation,
     central_binomial_weight,
@@ -19,6 +19,7 @@ from clonebench import (
     phase_quadrature_fidelity,
     phase_nodes_required,
     prepared_state_ansatz,
+    prepared_state_ansatz_ent,
     sqrt_binomial_second_moment,
     sqrt_binomial_sum,
 )
@@ -137,6 +138,10 @@ class TestPreparedStateAnsatz:
         with pytest.raises(DomainError):
             prepared_state_ansatz(8, 0.5)
 
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(DomainError):
+            ansatz_cutoff(8, float("nan"))
+
     def test_weights_sum_to_one(self):
         for m, lam in [(4096, 1.0), (4096, 64.0), (101, 3.0)]:
             state = prepared_state_ansatz(m, lam)
@@ -145,21 +150,21 @@ class TestPreparedStateAnsatz:
 
 class TestPreparedStateQubit:
     def test_sparse_support_embedded_densely(self):
-        state = PreparedStateQubit(M=4, twice=np.array([-4, 4]), p=np.array([0.5, 0.5]))
+        state = PreparedState("qubit", M=4, twice=np.array([-4, 4]), p=np.array([0.5, 0.5]))
         assert list(state.twice) == [-4, -2, 0, 2, 4]
         assert state[1] == 0.0 and state[-2] == 0.5
 
     def test_point_mass(self):
-        state = PreparedStateQubit(M=8, twice=np.array([0]), p=np.array([1.0]))
+        state = PreparedState("qubit", M=8, twice=np.array([0]), p=np.array([1.0]))
         assert state[0] == 1.0
 
     def test_mismatched_parity_rejected(self):
         with pytest.raises(DomainError):
-            PreparedStateQubit(M=4, twice=np.array([1]), p=np.array([1.0]))
+            PreparedState("qubit", M=4, twice=np.array([1]), p=np.array([1.0]))
 
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
-            PreparedStateQubit(M=2, twice=np.array([0]), p=np.array([0.9]))
+            PreparedState("qubit", M=2, twice=np.array([0]), p=np.array([0.9]))
 
 
 class TestMpFidelityExact:
@@ -202,6 +207,10 @@ class TestMpFidelityExact:
         with pytest.raises(DomainError):
             mp_fidelity_exact(1, 2, prepared_state_ansatz(4, 1.0))
 
+    def test_entangled_state_rejected(self):
+        with pytest.raises(DomainError):
+            mp_fidelity_exact(2, 4, prepared_state_ansatz_ent(4, 1.0))
+
 
 class TestAvgStateExpectation:
     def test_two_copy_naive(self):
@@ -209,7 +218,7 @@ class TestAvgStateExpectation:
         assert avg_state_expectation(2, state) == pytest.approx(3 / 8, abs=1e-14)
 
     def test_point_mass_reads_central_weight(self):
-        state = PreparedStateQubit(M=10, twice=np.array([0]), p=np.array([1.0]))
+        state = PreparedState("qubit", M=10, twice=np.array([0]), p=np.array([1.0]))
         assert avg_state_expectation(10, state) == pytest.approx(
             central_binomial_weight(10), rel=1e-12
         )

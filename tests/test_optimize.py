@@ -71,6 +71,12 @@ class TestOptimalPreparedState:
         assert info.value.residual >= 0.0
         assert info.value.iterations == 2
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_unmeetable_tolerance_fails_at_once(self, tol):
+        with pytest.raises(ConvergenceError) as info:
+            optimal_prepared_state(build_quadratic_form(1, 1), tol=tol)
+        assert info.value.iterations == 0
+
 
 class TestLambdaSweep:
     def test_degenerate_grid_equals_naive(self):
@@ -102,6 +108,8 @@ class TestLambdaSweep:
     def test_unknown_family_rejected(self):
         with pytest.raises(DomainError):
             lambda_sweep(1, 3, [1.0], family="qutrit")
+        with pytest.raises(DomainError):
+            relative_gap(1, 3, family="qutrit")
 
 
 class TestRelativeGap:
@@ -127,6 +135,8 @@ class TestRelativeGap:
         gap = relative_gap(2, 2048, "entangled")
         assert gap.delta <= 0.10
         assert 0.0 <= gap.delta <= 1.0
+        assert gap.f_eig is None
+        assert gap.f_est_proxy == gap.sweep.best_fidelity
 
 
 class TestDominanceChain:

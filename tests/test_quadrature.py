@@ -18,7 +18,7 @@ from clonebench import (
 )
 import numpy as np
 
-from clonebench import PreparedStateEnt
+from clonebench import PreparedState
 
 
 class TestQuadratureSpec:
@@ -80,7 +80,7 @@ class TestSu2Quadrature:
         assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_point_mass_top_block(self):
-        state = PreparedStateEnt(M=2, twice=np.array([2]), p=np.array([1.0]))
+        state = PreparedState("entangled", M=2, twice=np.array([2]), p=np.array([1.0]))
         quad = su2_quadrature_fidelity_ent(2, 2, state, 64)
         assert quad == pytest.approx(mp_fidelity_exact_ent(2, 2, state), abs=1e-9)
 

@@ -15,6 +15,7 @@ from clonebench import (
     run_sweep,
     serialize_report,
 )
+from clonebench import report as report_module
 from clonebench.report import CSV_COLUMNS, serialize_appendix
 
 
@@ -36,6 +37,8 @@ class TestSweepConfig:
     def test_lambda_grid_validated(self):
         with pytest.raises(DomainError):
             SweepConfig("qubit", (1,), (1,), lambda_grid=(0.5,))
+        with pytest.raises(DomainError):
+            SweepConfig("qubit", (1,), (1,), lambda_grid=(float("nan"),))
 
     def test_power_rule_lambdas(self):
         config = SweepConfig("qubit", (2,), (256,), lambda_exponent=0.5)
@@ -86,6 +89,15 @@ class TestRunSweep:
         (row,) = run_sweep(config).rows
         assert row.f_eig is None
         assert 0 < row.ratio_naive <= 1
+
+    def test_worker_count_clamped(self, monkeypatch):
+        monkeypatch.setenv(report_module.WORKERS_ENV, "1000000")
+        monkeypatch.setattr(report_module.os, "cpu_count", lambda: 2)
+        assert report_module._worker_count(5) == 2
+        assert report_module._worker_count(1) == 1
+        assert report_module._worker_count(0) == 1
+        monkeypatch.setattr(report_module.os, "cpu_count", lambda: None)
+        assert report_module._worker_count(5) == 1
 
     def test_deterministic_up_to_timing(self):
         config = SweepConfig("qubit", (1, 2), (2, 4, 8), lambda_grid=(1.0, 2.0))

@@ -7,15 +7,18 @@ import pytest
 from clonebench import (
     DomainError,
     IrrepBlock,
+    PreparedState,
     SpinIndex,
-    WeightVector,
     binomial_weight,
     central_binomial_weight,
-    dicke_lattice,
-    gaussian_weight,
     irrep_spectrum,
     multiplicity,
-    total_spin_lattice,
+)
+from clonebench.spin import (
+    dicke_twice,
+    sqrt_binomial_weights,
+    sqrt_irrep_weights,
+    total_spin_twice,
 )
 from _oracles import exact_multiplicity, frac_binomial, frac_irrep_weight
 
@@ -42,12 +45,12 @@ class TestSpinIndex:
 
 class TestLattices:
     def test_dicke_lattice_parity(self):
-        assert [s.twice for s in dicke_lattice(3)] == [-3, -1, 1, 3]
-        assert [s.value for s in dicke_lattice(2)] == [-1.0, 0.0, 1.0]
+        assert list(dicke_twice(3)) == [-3, -1, 1, 3]
+        assert list(dicke_twice(2) / 2) == [-1.0, 0.0, 1.0]
 
     def test_total_spin_lattice_floor(self):
-        assert [s.value for s in total_spin_lattice(4)] == [0.0, 1.0, 2.0]
-        assert [s.value for s in total_spin_lattice(3)] == [0.5, 1.5]
+        assert list(total_spin_twice(4) / 2) == [0.0, 1.0, 2.0]
+        assert list(total_spin_twice(3) / 2) == [0.5, 1.5]
 
 
 class TestBinomialWeight:
@@ -79,27 +82,6 @@ class TestBinomialWeight:
     def test_central_weight_odd_even(self):
         assert central_binomial_weight(2) == pytest.approx(0.5)
         assert central_binomial_weight(3) == pytest.approx(3 / 8)
-
-
-class TestGaussianWeight:
-    def test_at_zero(self):
-        assert gaussian_weight(2, 0.0) == pytest.approx(math.sqrt(1 / math.pi))
-        assert gaussian_weight(8, 0.0) == pytest.approx(math.sqrt(1 / (4 * math.pi)))
-
-    def test_tracks_binomial(self):
-        g = gaussian_weight(100, 5.0)
-        assert g == pytest.approx(0.0484, abs=5e-4)
-        assert g == pytest.approx(binomial_weight(100, 5), rel=0.03)
-
-    def test_surrogate_error_shrinks_like_one_over_n(self):
-        cs = []
-        for n_copies in (64, 128, 256):
-            diff = max(
-                abs(binomial_weight(n_copies, s.value) - gaussian_weight(n_copies, s.value))
-                for s in dicke_lattice(n_copies)
-            )
-            cs.append(n_copies * diff)
-        assert cs[0] >= cs[1] >= cs[2]
 
 
 class TestIrrepSpectrum:
@@ -145,38 +127,56 @@ class TestIrrepSpectrum:
             IrrepBlock(j=SpinIndex(2), dim_rep=2, multiplicity=1, weight=0.5)
 
 
-class TestWeightVector:
-    def test_binomial_normalization_and_access(self):
-        wv = WeightVector.binomial(4)
-        assert abs(float(np.sum(wv.weights)) - 1.0) < 1e-12
-        assert wv[0] == pytest.approx(6 / 16)
-        assert wv[SpinIndex(4)] == pytest.approx(1 / 16)
-        assert len(wv) == 5
+class TestSqrtWeights:
+    def test_binomial_normalization(self):
+        weights = sqrt_binomial_weights(4) ** 2
+        assert abs(float(np.sum(weights)) - 1.0) < 1e-12
+        assert weights[2] == pytest.approx(6 / 16)  # n = 0
+        assert weights[4] == pytest.approx(1 / 16)  # n = 2
+        assert len(weights) == 5
 
     def test_irrep_weights_match_spectrum(self):
-        wv = WeightVector.irrep(6)
-        for block in irrep_spectrum(6):
-            assert wv[block.j] == pytest.approx(block.weight, rel=1e-13)
-
-    def test_log_sqrt_consistent(self):
-        wv = WeightVector.binomial(20)
-        assert np.exp(2 * wv.log_sqrt) == pytest.approx(wv.weights, rel=1e-12)
+        twice_j, sqrt_c = sqrt_irrep_weights(6)
+        blocks = irrep_spectrum(6)
+        assert list(twice_j) == [b.j.twice for b in blocks]
+        assert sqrt_c**2 == pytest.approx([b.weight for b in blocks], rel=1e-13)
 
     def test_large_n_weights_match_exact(self):
-        wv = WeightVector.irrep(2048)
-        assert wv[1] == pytest.approx(float(frac_irrep_weight(2048, 2)), rel=1e-10)
+        twice_j, sqrt_c = sqrt_irrep_weights(2048)
+        assert twice_j[1] == 2
+        assert sqrt_c[1] ** 2 == pytest.approx(float(frac_irrep_weight(2048, 2)), rel=1e-10)
 
-    def test_off_lattice_access(self):
-        wv = WeightVector.binomial(2)
-        with pytest.raises(KeyError):
-            wv[0.5]
 
+class TestPreparedState:
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
-            WeightVector(2, np.array([-2, 0, 2]), np.array([0.3, 0.3, 0.3]),
-                         np.log(np.array([0.3, 0.3, 0.3])) / 2)
+            PreparedState("qubit", M=2, twice=np.array([-2, 0, 2]),
+                          p=np.array([0.3, 0.3, 0.3]))
 
-    def test_items_yield_spin_indices(self):
-        pairs = list(WeightVector.binomial(1).items())
-        assert [s.value for s, _ in pairs] == [-0.5, 0.5]
-        assert [w for _, w in pairs] == pytest.approx([0.5, 0.5])
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DomainError):
+            PreparedState("qutrit", M=2, twice=np.array([0]), p=np.array([1.0]))
+
+    def test_lattice_floor_follows_family(self):
+        # m = -1 is a Dicke projection of 2 copies; j = -1 is no total spin
+        state = PreparedState("qubit", M=2, twice=np.array([-2]), p=np.array([1.0]))
+        assert state[-1] == 1.0
+        with pytest.raises(DomainError):
+            PreparedState("entangled", M=2, twice=np.array([-2]), p=np.array([1.0]))
+
+    def test_entangled_sparse_support_embedded_densely(self):
+        state = PreparedState("entangled", M=5, twice=np.array([5, 1]),
+                              p=np.array([0.25, 0.75]))
+        assert list(state.twice) == [1, 3, 5]
+        assert state[0.5] == 0.75 and state[1.5] == 0.0 and state[2.5] == 0.25
+
+    @pytest.mark.parametrize("twice, p", [
+        ([0, 0], [0.5, 0.5]),
+        ([0, 2], [1.5, -0.5]),
+        ([0, 6], [0.5, 0.5]),
+        ([1], [1.0]),
+    ], ids=["duplicate-point", "negative-weight", "beyond-half-M", "off-parity"])
+    def test_rejections_shared_by_both_families(self, twice, p):
+        for family in ("qubit", "entangled"):
+            with pytest.raises(DomainError):
+                PreparedState(family, M=4, twice=np.array(twice), p=np.array(p))
