@@ -12,14 +12,12 @@ from .errors import ConvergenceError, DomainError
 from .spin import (
     IrrepBlock,
     PreparedState,
-    SpinIndex,
     binomial_weight,
     central_binomial_weight,
     irrep_spectrum,
     multiplicity,
 )
 from .equatorial import (
-    FourierDensity,
     ansatz_cutoff,
     avg_state_expectation,
     clone_fidelity_exact,
@@ -54,7 +52,6 @@ from .optimize import (
     relative_gap,
 )
 from .quadrature import (
-    QuadratureSpec,
     QuadratureWarning,
     phase_nodes_required,
     phase_quadrature_fidelity,
@@ -78,12 +75,10 @@ __all__ = [
     "DomainError",
     "IrrepBlock",
     "PreparedState",
-    "SpinIndex",
     "binomial_weight",
     "central_binomial_weight",
     "irrep_spectrum",
     "multiplicity",
-    "FourierDensity",
     "ansatz_cutoff",
     "avg_state_expectation",
     "clone_fidelity_exact",
@@ -112,7 +107,6 @@ __all__ = [
     "lambda_sweep",
     "optimal_prepared_state",
     "relative_gap",
-    "QuadratureSpec",
     "QuadratureWarning",
     "phase_nodes_required",
     "phase_quadrature_fidelity",

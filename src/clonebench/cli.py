@@ -121,16 +121,19 @@ def _worst_mp_gap(rng, family, n_max, m_max, lambdas, quadrature_fidelity, nodes
 
 
 def _oracle_lines(nodes_override, tol_qubit, tol_ent):
+    def nodes_or(required):
+        return required if nodes_override is None else nodes_override
+
     rng = random.Random(170)
     worst_qubit = _worst_mp_gap(
         rng, "qubit", 6, 256, [1.0, 2.0, 4.0, 8.0], quadrature.phase_quadrature_fidelity,
-        lambda n, m: nodes_override or quadrature.phase_nodes_required(n, m),
+        lambda n, m: nodes_or(quadrature.phase_nodes_required(n, m)),
     )
     yield "phase-circle", worst_qubit, tol_qubit
 
     worst_ent = _worst_mp_gap(
         rng, "entangled", 4, 24, [1.0, 2.0, 4.0], quadrature.su2_quadrature_fidelity_ent,
-        lambda n, m: nodes_override or 2 * quadrature.su2_nodes_required(n, m),
+        lambda n, m: nodes_or(2 * quadrature.su2_nodes_required(n, m)),
     )
     yield "su2-class", worst_ent, tol_ent
 
@@ -141,7 +144,7 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
             for t3 in labels:
                 for t4 in labels:
                     count = entangled.cg_overlap_count(t1 / 2, t2 / 2, t3 / 2, t4 / 2)
-                    nodes = nodes_override or 2 * (t1 + t2 + t3 + t4) + 8
+                    nodes = nodes_or(2 * (t1 + t2 + t3 + t4) + 8)
                     value = quadrature.weyl_quadrature_char4(
                         t1 / 2, t2 / 2, t3 / 2, t4 / 2, nodes
                     )
@@ -150,11 +153,14 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.nodes is not None:
-        quadrature.QuadratureSpec(nodes=args.nodes, family="phase-circle")
-        quadrature.QuadratureSpec(nodes=args.nodes, family="su2-class")
+    if args.tol is None:
+        tol_qubit, tol_ent = 1e-10, 1e-9
+    elif not args.tol >= 0:  # also rejects NaN
+        raise DomainError(f"tolerance must be >= 0, got {args.tol}")
+    else:
+        tol_qubit = tol_ent = args.tol
     status = 0
-    for name, worst, tol in _oracle_lines(args.nodes, args.tol or 1e-10, args.tol or 1e-9):
+    for name, worst, tol in _oracle_lines(args.nodes, tol_qubit, tol_ent):
         ok = worst <= tol
         print(f"{name}: max |closed-form - quadrature| = {worst:.3e} "
               f"(tol {tol:.0e}) -> {'PASS' if ok else 'FAIL'}")
@@ -234,6 +240,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         sys.stderr.write(f"fatal: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"fatal: out of memory: {exc}\n")
         return 1
 
 

@@ -18,15 +18,15 @@ import numpy as np
 from .errors import DomainError
 from .spin import (
     PreparedState,
-    SpinIndex,
-    SpinLike,
     _check_copies,
+    _doubled,
     central_binomial_weight,
     log_irrep_weight,
     sqrt_irrep_weights,
     total_spin_twice,
 )
 from .equatorial import _check_amplification, ansatz_cutoff
+
 
 @dataclass
 class CharPolynomial:
@@ -89,7 +89,7 @@ def eco_clone_fidelity_large_n(n_copies: int, m_copies: int) -> float:
     return (4.0 * n_copies / m_copies) ** 1.5
 
 
-def cg_overlap_count(j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike) -> int:
+def cg_overlap_count(j1: float, j2: float, j3: float, j4: float) -> int:
     """Number of common irreps in the Clebsch-Gordan series of j1 x j2 and j3 x j4.
 
     Equals the Haar integral of chi_{j1} chi_{j2} chi_{j3} chi_{j4}: each series
@@ -97,7 +97,7 @@ def cg_overlap_count(j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike) -> 
     lattice overlap and vanishes when the two series live on different
     integer/half-integer lattices.
     """
-    t1, t2, t3, t4 = (SpinIndex.of(j).twice for j in (j1, j2, j3, j4))
+    t1, t2, t3, t4 = (_doubled(j) for j in (j1, j2, j3, j4))
     if min(t1, t2, t3, t4) < 0:
         raise DomainError("total-spin labels must be nonnegative")
     if (t1 + t2) % 2 != (t3 + t4) % 2:

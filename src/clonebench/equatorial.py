@@ -11,7 +11,6 @@ coefficients: no quadrature or Gaussian approximation enters the computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,37 +23,6 @@ from .spin import (
     central_binomial_weight,
     sqrt_binomial_weights,
 )
-
-@dataclass
-class FourierDensity:
-    """Even real trigonometric polynomial sum_k a_k e^{ik theta}, a_k = a_{-k}.
-
-    Only the k >= 0 half is stored.  Construction verifies nonnegativity of
-    the represented density on a 4B+1 point grid.
-    """
-
-    bandwidth: int
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.bandwidth < 0 or len(self.coeffs) != self.bandwidth + 1:
-            raise DomainError("coeffs must hold a_0 .. a_B")
-        grid = np.linspace(-math.pi, math.pi, 4 * self.bandwidth + 1, endpoint=False)
-        values = self.evaluate(grid)
-        if np.min(values) < -1e-12 * max(1.0, self.coeffs[0]):
-            raise DomainError("density is negative on the check grid")
-
-    def __getitem__(self, k: int) -> float:
-        k = abs(int(k))
-        return float(self.coeffs[k]) if k <= self.bandwidth else 0.0
-
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, self.coeffs[0])
-        for k in range(1, self.bandwidth + 1):
-            out += 2.0 * self.coeffs[k] * np.cos(k * theta)
-        return out
 
 
 def _check_amplification(n_copies: int, m_copies: int) -> None:
@@ -92,15 +60,20 @@ def clone_fidelity_large_n(n_copies: int, m_copies: int) -> float:
     return math.sqrt(4.0 * m_copies * n_copies) / (m_copies + n_copies)
 
 
-def outcome_density_fourier(n_copies: int) -> FourierDensity:
-    """Fourier coefficients of the covariant-measurement outcome density.
+def _lag_products(v: np.ndarray, max_lag: int) -> np.ndarray:
+    """Autocorrelation v[:-k] . v[k:] at lags k = 0 .. min(max_lag, len(v) - 1)."""
+    lags = range(min(max_lag, len(v) - 1) + 1)
+    return np.array([np.dot(v[: len(v) - k], v[k:]) for k in lags])
 
-    a_k is the lag-k autocorrelation of the sqrt-binomial vector, so a_0 = 1
-    and the bandwidth is N.
+
+def outcome_density_fourier(n_copies: int) -> np.ndarray:
+    """Fourier coefficients a_0 .. a_N of the covariant-measurement outcome density.
+
+    The density sum_k a_k e^{ik theta} (a_{-k} = a_k) is |sum_n sqrt(b_n)
+    e^{in theta}|^2, so it is nonnegative by construction; a_k is the lag-k
+    autocorrelation of the sqrt-binomial vector, and a_0 = 1.
     """
-    sb = sqrt_binomial_weights(n_copies)
-    coeffs = np.array([np.dot(sb[: len(sb) - k], sb[k:]) for k in range(len(sb))])
-    return FourierDensity(bandwidth=n_copies, coeffs=coeffs)
+    return _lag_products(sqrt_binomial_weights(n_copies), n_copies)
 
 
 def ansatz_cutoff(m_copies: int, lam: float) -> tuple[int, bool]:
@@ -110,8 +83,8 @@ def ansatz_cutoff(m_copies: int, lam: float) -> tuple[int, bool]:
     Returns (K, clamped).
     """
     _check_copies(m_copies)
-    if not lam >= 1:  # also rejects NaN
-        raise DomainError(f"lambda must be >= 1, got {lam}")
+    if not 1 <= lam < math.inf:  # also rejects NaN
+        raise DomainError(f"lambda must be finite and >= 1, got {lam}")
     ratio = m_copies / lam
     parity = m_copies % 2
     k = 2 * int(round((ratio - parity) / 2.0)) + parity
@@ -143,12 +116,10 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedState) -> flo
     """
     _check_copies(n_copies)
     state.check("qubit", m_copies)
-    a = outcome_density_fourier(n_copies).coeffs
+    a = outcome_density_fourier(n_copies)
     v = np.sqrt(state.p) * np.exp(0.5 * log_binomial_weight(m_copies, state.twice))
-    terms = [a[0] * float(np.dot(v, v))]
-    for k in range(1, min(n_copies, len(v) - 1) + 1):
-        terms.append(2.0 * a[k] * float(np.dot(v[: len(v) - k], v[k:])))
-    return math.fsum(terms)
+    c = _lag_products(v, n_copies)
+    return math.fsum([a[0] * c[0], *(2.0 * a[1 : len(c)] * c[1:])])
 
 
 def avg_state_expectation(m_copies: int, state: PreparedState) -> float:

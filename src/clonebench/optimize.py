@@ -117,7 +117,7 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
         n_copies=n_copies,
         m_copies=m_copies,
         sqrt_b=sqrt_b,
-        fourier=outcome_density_fourier(n_copies).coeffs,
+        fourier=outcome_density_fourier(n_copies),
     )
 
 
@@ -220,7 +220,6 @@ def relative_gap(
     m_copies: int,
     family: str = "qubit",
     lambdas=None,
-    tol: float = 1e-13,
 ) -> GapRow:
     """Relative gap (F_clon - F_est_proxy) / F_clon.
 
@@ -236,9 +235,7 @@ def relative_gap(
     f_eig = None
     f_est = sweep.best_fidelity
     if evaluators.has_kernel:
-        f_eig, _ = optimal_prepared_state(
-            build_quadratic_form(n_copies, m_copies), tol=tol
-        )
+        f_eig, _ = optimal_prepared_state(build_quadratic_form(n_copies, m_copies))
         f_est = max(f_est, f_eig)
     return GapRow(
         n_copies=n_copies,

@@ -3,15 +3,14 @@
 All integrands appearing here are band-limited trigonometric polynomials, so
 equispaced sums integrate them exactly once the node count exceeds the
 bandwidth; below that threshold the functions still return a value but emit a
-QuadratureWarning.  These oracles gate tests only and never feed numbers into
-reports.
+QuadratureWarning, and below 3 nodes they raise DomainError.  These oracles
+gate tests only and never feed numbers into reports.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .errors import DomainError
 from .entangled import prepared_char_polynomial, seed_char_polynomial
 from .spin import (
     PreparedState,
-    SpinIndex,
-    SpinLike,
+    _doubled,
     log_binomial_weight,
     sqrt_binomial_weights,
 )
@@ -30,26 +28,15 @@ class QuadratureWarning(UserWarning):
     """Node count below the exactness threshold; the result may be inexact."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node count and integration family for an oracle run."""
-
-    nodes: int
-    family: str  # "phase-circle" | "su2-class"
-
-    def __post_init__(self):
-        if self.nodes < 3:
-            raise DomainError("quadrature needs at least 3 nodes")
-        if self.family not in ("phase-circle", "su2-class"):
-            raise DomainError(f"unknown quadrature family {self.family!r}")
-
-
 def phase_nodes_required(n_copies: int, m_copies: int) -> int:
     """Node count at which the phase-circle rule becomes exact, 2(N+M)+1."""
     return 2 * (n_copies + m_copies) + 1
 
 
-def _warn_if_coarse(nodes: int, required: int) -> None:
+def _check_nodes(nodes: int, required: int) -> None:
+    """Reject fewer than 3 nodes; warn below the exactness threshold `required`."""
+    if nodes < 3:
+        raise DomainError(f"quadrature needs at least 3 nodes, got {nodes}")
     if nodes < required:
         warnings.warn(
             QuadratureWarning(
@@ -68,7 +55,7 @@ def phase_quadrature_fidelity(
     is exact for nodes >= 2(N+M)+1.
     """
     state.check("qubit", m_copies)
-    _warn_if_coarse(nodes, phase_nodes_required(n_copies, m_copies))
+    _check_nodes(nodes, phase_nodes_required(n_copies, m_copies))
     theta = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
     sb = sqrt_binomial_weights(n_copies)
     half_n = np.arange(-n_copies, n_copies + 1, 2) / 2.0
@@ -91,17 +78,17 @@ def _class_angles(nodes: int) -> np.ndarray:
 
 
 def weyl_quadrature_char4(
-    j1: SpinLike, j2: SpinLike, j3: SpinLike, j4: SpinLike, nodes: int
+    j1: float, j2: float, j3: float, j4: float, nodes: int
 ) -> float:
     """Haar integral of four SU(2) characters by class-angle quadrature.
 
     Uses (2/pi) integral over (0, pi) of chi chi chi chi sin^2(phi), sampled
     on the open midpoint grid; exact once nodes clears the combined bandwidth.
     """
-    t = [SpinIndex.of(j).twice for j in (j1, j2, j3, j4)]
+    t = [_doubled(j) for j in (j1, j2, j3, j4)]
     if min(t) < 0:
         raise DomainError("total-spin labels must be nonnegative")
-    _warn_if_coarse(nodes, 2 * sum(t) + 8)
+    _check_nodes(nodes, 2 * sum(t) + 8)
     phi = _class_angles(nodes)
     sin_phi = np.sin(phi)
     product = np.ones_like(phi)
@@ -120,7 +107,7 @@ def su2_quadrature_fidelity_ent(
 ) -> float:
     """Class-function quadrature of the entangled measure-and-prepare integral."""
     state.check("entangled", m_copies)
-    _warn_if_coarse(nodes, su2_nodes_required(n_copies, m_copies))
+    _check_nodes(nodes, su2_nodes_required(n_copies, m_copies))
     phi = _class_angles(nodes)
     seed = seed_char_polynomial(n_copies).evaluate(phi)
     prep = prepared_char_polynomial(state).evaluate(phi)

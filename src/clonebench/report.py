@@ -54,8 +54,8 @@ class SweepConfig:
         if self.lambda_grid is not None:
             if not self.lambda_grid:
                 raise DomainError("lambda grid must be non-empty")
-            if any(not lam >= 1 for lam in self.lambda_grid):  # also rejects NaN
-                raise DomainError("every lambda must be >= 1")
+            if any(not 1 <= lam < math.inf for lam in self.lambda_grid):  # also NaN
+                raise DomainError("every lambda must be finite and >= 1")
         if self.lambda_exponent is not None and not 0 < self.lambda_exponent < 1:
             raise DomainError("lambda exponent must lie in (0, 1)")
         if self.output_format not in ("csv", "json"):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,40 +19,18 @@ from .errors import DomainError
 
 _LOG2 = math.log(2.0)
 
-SpinLike = Union["SpinIndex", int, float]
 
+def _doubled(value: float) -> int:
+    """The doubled value 2s of a half-integer spin label s (2n or 2j).
 
-@dataclass(frozen=True, order=True)
-class SpinIndex:
-    """A spin quantum number stored as its doubled value (2n or 2j)."""
-
-    twice: int
-
-    @classmethod
-    def of(cls, value: SpinLike) -> "SpinIndex":
-        """Coerce a half-integer (or SpinIndex) into a SpinIndex."""
-        if isinstance(value, SpinIndex):
-            return value
-        doubled = 2 * value
-        rounded = round(doubled)
-        if abs(doubled - rounded) > 1e-9:
-            raise DomainError(f"{value!r} is not a half-integer spin label")
-        return cls(int(rounded))
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2
-
-    def __add__(self, other: "SpinIndex") -> "SpinIndex":
-        return SpinIndex(self.twice + other.twice)
-
-    def __neg__(self) -> "SpinIndex":
-        return SpinIndex(-self.twice)
-
-    def __repr__(self) -> str:
-        if self.twice % 2 == 0:
-            return f"SpinIndex({self.twice // 2})"
-        return f"SpinIndex({self.twice}/2)"
+    Private so that an outside-in tracer of the public functions does not
+    record one span per label coerced.
+    """
+    twice = 2 * value
+    rounded = round(twice)
+    if abs(twice - rounded) > 1e-9:
+        raise DomainError(f"{value!r} is not a half-integer spin label")
+    return int(rounded)
 
 
 def _check_copies(n_copies: int) -> None:
@@ -92,10 +69,10 @@ def log_binomial_weight(n_copies: int, twice: np.ndarray | int) -> np.ndarray:
 _EXACT_COMB_MAX = 8192
 
 
-def binomial_weight(n_copies: int, n: SpinLike) -> float:
+def binomial_weight(n_copies: int, n: float) -> float:
     """Symmetric binomial weight of the projection n among N copies."""
     _check_copies(n_copies)
-    t = SpinIndex.of(n).twice
+    t = _doubled(n)
     if (t - n_copies) % 2 != 0:
         raise DomainError(
             f"projection {t}/2 is off the lattice of {n_copies} copies (parity mismatch)"
@@ -116,13 +93,13 @@ def sqrt_binomial_weights(n_copies: int) -> np.ndarray:
 def central_binomial_weight(n_copies: int) -> float:
     """Weight of the central lattice point: n=0 for even N, |n|=1/2 for odd N."""
     _check_copies(n_copies)
-    return binomial_weight(n_copies, SpinIndex(n_copies % 2))
+    return binomial_weight(n_copies, (n_copies % 2) / 2)
 
 
-def multiplicity(n_copies: int, j: SpinLike) -> int:
+def multiplicity(n_copies: int, j: float) -> int:
     """Multiplicity of the spin-j irrep in the N-fold tensor power (exact integer)."""
     _check_copies(n_copies)
-    tj = SpinIndex.of(j).twice
+    tj = _doubled(j)
     if tj < 0 or tj > n_copies or (tj - n_copies) % 2 != 0:
         raise DomainError(f"total spin {tj}/2 invalid for {n_copies} copies")
     k = (n_copies + tj) // 2
@@ -132,15 +109,15 @@ def multiplicity(n_copies: int, j: SpinLike) -> int:
 
 @dataclass(frozen=True)
 class IrrepBlock:
-    """One total-spin sector of the N-fold tensor power."""
+    """One total-spin sector of the N-fold tensor power, j = twice_j / 2."""
 
-    j: SpinIndex
+    twice_j: int
     dim_rep: int
     multiplicity: int
     weight: float
 
     def __post_init__(self):
-        if self.dim_rep != self.j.twice + 1:
+        if self.dim_rep != self.twice_j + 1:
             raise DomainError("dim_rep must equal 2j+1")
         if self.multiplicity < 1:
             raise DomainError("multiplicity must be positive")
@@ -152,10 +129,10 @@ def irrep_spectrum(n_copies: int) -> list[IrrepBlock]:
     for t in total_spin_twice(n_copies):
         t = int(t)
         d = t + 1
-        m = multiplicity(n_copies, SpinIndex(t))
+        m = multiplicity(n_copies, t / 2)
         blocks.append(
             IrrepBlock(
-                j=SpinIndex(t),
+                twice_j=t,
                 dim_rep=d,
                 multiplicity=m,
                 weight=d * m / 2**n_copies,
@@ -231,8 +208,8 @@ class PreparedState:
         self.twice = full
         self.p = dense
 
-    def __getitem__(self, n: SpinLike) -> float:
-        t = SpinIndex.of(n).twice
+    def __getitem__(self, n: float) -> float:
+        t = _doubled(n)
         off = t - int(self.twice[0])
         if off % 2 != 0 or off < 0 or off // 2 >= len(self.twice):
             return 0.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from clonebench import parse_report
+from clonebench import cli, parse_report
 from clonebench.cli import main
 
 
@@ -106,9 +106,17 @@ class TestExitStatuses:
             ["clone-fidelity", "--n", "4", "--m", "2"],
             ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "nan"],
             ["sweep", "--n", "2", "--m", "4", "--grid", "nan"],
+            ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "inf"],
+            ["sweep", "--n", "2", "--m", "4", "--grid", "inf"],
         ):
             assert main(argv) == 1
             assert "configuration error" in capsys.readouterr().err
+
+    def test_unallocatable_size_is_config_error(self, capsys):
+        # 10^14 copies need ~800 TB per array: refused at once, never touched.
+        assert main(["mp-fidelity", "--n", "2", "--m", str(10**14)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fatal: out of memory") and err.count("\n") == 1
 
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "-1"])
@@ -127,3 +135,35 @@ class TestOracleCheck:
 
     def test_oracle_check_rejects_degenerate_nodes(self, capsys):
         assert main(["oracle-check", "--nodes", "2"]) == 1
+        assert main(["oracle-check", "--nodes", "0"]) == 1
+
+
+class TestOracleCheckTolerance:
+    """--tol handling, with the oracles replaced by fixed worst-case gaps."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = []
+
+        def fake_lines(nodes, tol_qubit, tol_ent):
+            calls.append((tol_qubit, tol_ent))
+            yield "phase-circle", 1e-12, tol_qubit
+            yield "su2-class", 1e-12, tol_ent
+
+        monkeypatch.setattr(cli, "_oracle_lines", fake_lines)
+        return calls
+
+    def test_defaults_only_without_tol(self, seen, capsys):
+        assert main(["oracle-check"]) == 0
+        assert seen == [(1e-10, 1e-9)]
+
+    def test_zero_tol_is_used(self, seen, capsys):
+        assert main(["oracle-check", "--tol", "0"]) == 2
+        assert seen == [(0.0, 0.0)]
+        assert capsys.readouterr().out.count("FAIL") == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tol_is_config_error(self, seen, capsys, tol):
+        assert main(["oracle-check", "--tol", tol]) == 1
+        assert seen == []
+        assert "configuration error" in capsys.readouterr().err

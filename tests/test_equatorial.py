@@ -5,7 +5,6 @@ import pytest
 
 from clonebench import (
     DomainError,
-    FourierDensity,
     PreparedState,
     ansatz_cutoff,
     avg_state_expectation,
@@ -90,9 +89,9 @@ class TestCloneFidelityAsymptotics:
 class TestOutcomeDensityFourier:
     def test_single_copy(self):
         density = outcome_density_fourier(1)
-        assert density.bandwidth == 1
+        assert len(density) == 2
         assert density[0] == pytest.approx(1.0)
-        assert density[1] == density[-1] == pytest.approx(0.5)
+        assert density[1] == pytest.approx(0.5)
 
     @pytest.mark.parametrize("n_copies", [1, 2, 3, 8, 31])
     def test_zero_lag_is_one(self, n_copies):
@@ -103,12 +102,14 @@ class TestOutcomeDensityFourier:
         assert density[1] == pytest.approx(2 * math.sqrt(1 / 8), abs=1e-12)
         assert density[2] == pytest.approx(0.25, abs=1e-12)
 
-    def test_beyond_bandwidth_is_zero(self):
-        assert outcome_density_fourier(2)[3] == 0.0
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(DomainError):
-            FourierDensity(bandwidth=1, coeffs=np.array([1.0, 0.8]))
+    @pytest.mark.parametrize("n_copies", [1, 2, 3, 8, 31, 256])
+    def test_density_nonnegative_on_grid(self, n_copies):
+        a = outcome_density_fourier(n_copies)
+        assert len(a) == n_copies + 1
+        theta = np.linspace(-math.pi, math.pi, 4 * n_copies + 1, endpoint=False)
+        k = np.arange(1, n_copies + 1)
+        density = a[0] + 2.0 * np.cos(np.outer(theta, k)) @ a[1:]
+        assert density.min() >= -1e-12
 
 
 class TestPreparedStateAnsatz:

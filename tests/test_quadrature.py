@@ -4,7 +4,6 @@ import pytest
 
 from clonebench import (
     DomainError,
-    QuadratureSpec,
     QuadratureWarning,
     mp_fidelity_exact,
     mp_fidelity_exact_ent,
@@ -23,11 +22,15 @@ from clonebench import PreparedState
 
 class TestQuadratureSpec:
     def test_validation(self):
-        QuadratureSpec(nodes=9, family="phase-circle")
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=2, family="phase-circle")
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=9, family="legendre")
+        """Every oracle rejects fewer than 3 nodes."""
+        qubit, ent = prepared_state_ansatz(1, 1.0), prepared_state_ansatz_ent(1, 1.0)
+        for nodes in (2, 0):
+            with pytest.raises(DomainError):
+                phase_quadrature_fidelity(1, 1, qubit, nodes)
+            with pytest.raises(DomainError):
+                su2_quadrature_fidelity_ent(1, 1, ent, nodes)
+            with pytest.raises(DomainError):
+                weyl_quadrature_char4(0, 0, 0, 0, nodes)
 
 
 class TestPhaseQuadrature:

@@ -39,6 +39,8 @@ class TestSweepConfig:
             SweepConfig("qubit", (1,), (1,), lambda_grid=(0.5,))
         with pytest.raises(DomainError):
             SweepConfig("qubit", (1,), (1,), lambda_grid=(float("nan"),))
+        with pytest.raises(DomainError):
+            SweepConfig("qubit", (1,), (1,), lambda_grid=(float("inf"),))
 
     def test_power_rule_lambdas(self):
         config = SweepConfig("qubit", (2,), (256,), lambda_exponent=0.5)

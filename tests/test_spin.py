@@ -8,13 +8,13 @@ from clonebench import (
     DomainError,
     IrrepBlock,
     PreparedState,
-    SpinIndex,
     binomial_weight,
     central_binomial_weight,
     irrep_spectrum,
     multiplicity,
 )
 from clonebench.spin import (
+    _doubled,
     dicke_twice,
     sqrt_binomial_weights,
     sqrt_irrep_weights,
@@ -24,23 +24,17 @@ from _oracles import exact_multiplicity, frac_binomial, frac_irrep_weight
 
 
 class TestSpinIndex:
+    """Coercion of half-integer spin labels to their doubled integers."""
+
     def test_of_accepts_half_integers(self):
-        assert SpinIndex.of(1.5).twice == 3
-        assert SpinIndex.of(-2).twice == -4
-        assert SpinIndex.of(SpinIndex(5)) == SpinIndex(5)
+        assert _doubled(1.5) == 3
+        assert _doubled(-2) == -4
+        assert _doubled(np.float64(2.5)) == 5
+        assert type(_doubled(np.float64(2.5))) is int
 
     def test_of_rejects_non_half_integers(self):
         with pytest.raises(DomainError):
-            SpinIndex.of(0.3)
-
-    def test_ordering_and_arithmetic(self):
-        assert SpinIndex(1) < SpinIndex(3)
-        assert (SpinIndex(1) + SpinIndex(2)).twice == 3
-        assert (-SpinIndex(1)).value == -0.5
-
-    def test_repr(self):
-        assert repr(SpinIndex(4)) == "SpinIndex(2)"
-        assert repr(SpinIndex(3)) == "SpinIndex(3/2)"
+            _doubled(0.3)
 
 
 class TestLattices:
@@ -87,21 +81,21 @@ class TestBinomialWeight:
 class TestIrrepSpectrum:
     def test_single_copy(self):
         (block,) = irrep_spectrum(1)
-        assert (block.j.value, block.dim_rep, block.multiplicity, block.weight) == (0.5, 2, 1, 1.0)
+        assert (block.twice_j, block.dim_rep, block.multiplicity, block.weight) == (1, 2, 1, 1.0)
 
     def test_two_copies_singlet_triplet(self):
         blocks = irrep_spectrum(2)
-        assert [(b.j.value, b.dim_rep, b.multiplicity, b.weight) for b in blocks] == [
-            (0.0, 1, 1, 0.25),
-            (1.0, 3, 1, 0.75),
+        assert [(b.twice_j, b.dim_rep, b.multiplicity, b.weight) for b in blocks] == [
+            (0, 1, 1, 0.25),
+            (2, 3, 1, 0.75),
         ]
 
     def test_four_copies(self):
         blocks = irrep_spectrum(4)
-        assert [(b.j.value, b.dim_rep, b.multiplicity) for b in blocks] == [
-            (0.0, 1, 2),
-            (1.0, 3, 3),
-            (2.0, 5, 1),
+        assert [(b.twice_j, b.dim_rep, b.multiplicity) for b in blocks] == [
+            (0, 1, 2),
+            (2, 3, 3),
+            (4, 5, 1),
         ]
         assert [b.weight for b in blocks] == pytest.approx([1 / 8, 9 / 16, 5 / 16])
         assert sum(b.dim_rep * b.multiplicity for b in blocks) == 16
@@ -124,7 +118,7 @@ class TestIrrepSpectrum:
 
     def test_irrep_block_validates_dimension(self):
         with pytest.raises(DomainError):
-            IrrepBlock(j=SpinIndex(2), dim_rep=2, multiplicity=1, weight=0.5)
+            IrrepBlock(twice_j=2, dim_rep=2, multiplicity=1, weight=0.5)
 
 
 class TestSqrtWeights:
@@ -138,7 +132,7 @@ class TestSqrtWeights:
     def test_irrep_weights_match_spectrum(self):
         twice_j, sqrt_c = sqrt_irrep_weights(6)
         blocks = irrep_spectrum(6)
-        assert list(twice_j) == [b.j.twice for b in blocks]
+        assert list(twice_j) == [b.twice_j for b in blocks]
         assert sqrt_c**2 == pytest.approx([b.weight for b in blocks], rel=1e-13)
 
     def test_large_n_weights_match_exact(self):
