@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import random
+import re
 import sys
 
 from . import entangled, equatorial, optimize, quadrature, report
@@ -18,6 +19,14 @@ logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes -1 and -0.5 for values but -1e-3 for a flag; read the
+        # exponent form as a value too, so it reaches the domain checks.
+        self._negative_number_matcher = re.compile(
+            rf"{self._negative_number_matcher.pattern}|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"
+        )
+
     # argparse exits with status 2 on bad flags; remap to the config-error status.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -3,9 +3,13 @@
 The N-fold tensor power splits into total-spin blocks (j, d_j, m_j) with
 normalized weights c_j = d_j m_j / 2^N.  Overlaps of block-diagonal states
 with the group orbit are class functions, i.e. finite combinations of SU(2)
-characters, so every Haar integral appearing in the measure-and-prepare
-fidelity reduces to counting overlaps of Clebsch-Gordan series.  Nothing
-here materializes a 2^N-dimensional operator.
+characters.  The measure-and-prepare fidelity is the Haar integral of two
+of them, each the square of a character sum.  Each square is expanded into
+chi_J coefficients along the Clebsch-Gordan series |j - j'| <= J <= j + j'
+(a difference array, then one prefix sum), and by character orthonormality
+the integral is the dot product of the two coefficient vectors: O(N (N + S))
+for a prepared state on S labels.  Nothing here materializes a
+2^N-dimensional operator.
 """
 
 from __future__ import annotations
@@ -115,32 +119,43 @@ def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
     return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
 
 
+def _char_square(poly: CharPolynomial, j_max: int) -> np.ndarray:
+    """Coefficients b_J of poly^2 = sum_J b_J chi_J for J = 0..j_max.
+
+    poly's labels must fill one lattice densely; chi_j chi_j' is then the sum
+    of chi_J over the integers J = |j - j'|, ..., j + j'.  A pair of labels k
+    steps apart adds its product at J = k and takes it off past J = 2j + k in
+    a difference array, whose prefix sum is b.  Pairs more than j_max steps
+    apart add nothing up to j_max: O(j_max len(poly)) time.
+    """
+    twice, alpha = poly.twice, poly.alpha
+    diff = np.zeros(j_max + 2)
+    for k in range(min(len(alpha), j_max + 1)):
+        products = alpha[: len(alpha) - k] * alpha[k:]
+        if k:
+            products *= 2.0  # (j, j + k) and (j + k, j)
+        diff[k] += products.sum()
+        # twice[i] + k + 1 is just past the series end 2j + k, with j = twice[i] / 2.
+        ending = np.searchsorted(twice[: len(products)], j_max - k)
+        diff[twice[:ending] + k + 1] -= products[:ending]
+    return np.cumsum(diff[: j_max + 1])
+
+
 def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) -> float:
     """Exact measure-and-prepare fidelity with the square-root-measurement seed.
 
-    Evaluates the Haar integral of the two density class functions as the
-    quadruple sum over (j1, j2) from the seed side and (j3, j4) from the
-    prepared side, weighted by cg_overlap_count.  The inner pair is
-    vectorized; both pair sums have even doubled parity, so the lattice test
-    inside the count is vacuous here.
+    The Haar integral of the two density class functions (sum_j sqrt(c_j)
+    chi_j)^2 and (sum_j sqrt(p_j c_j) chi_j / d_j)^2.  Each square is expanded
+    into chi_J coefficients, and by character orthonormality the integral is
+    their dot product.  The seed side stops at J = N, so only prepared-side
+    pairs at most N lattice steps apart count: O(N (N + S)) time and O(N + S)
+    memory for a prepared state supported on S labels.
     """
     _check_copies(n_copies)
     state.check("entangled", m_copies)
-    t_n, w = sqrt_irrep_weights(n_copies)
-    t_m = state.twice
-    v = np.sqrt(state.p) * np.exp(0.5 * log_irrep_weight(m_copies, t_m))
-    v = v / (t_m + 1.0)
-    pair_v = np.outer(v, v)
-    lo34 = np.abs(t_m[:, None] - t_m[None, :])
-    hi34 = t_m[:, None] + t_m[None, :]
-    total = 0.0
-    for i1, t1 in enumerate(t_n):
-        for i2, t2 in enumerate(t_n):
-            lo = np.maximum(abs(int(t1) - int(t2)), lo34)
-            hi = np.minimum(int(t1) + int(t2), hi34)
-            counts = np.maximum(0, (hi - lo) // 2 + 1)
-            total += w[i1] * w[i2] * float(np.sum(pair_v * counts))
-    return total
+    seed = _char_square(seed_char_polynomial(n_copies), n_copies)
+    prepared = _char_square(prepared_char_polynomial(state), n_copies)
+    return math.fsum(seed * prepared)
 
 
 def avg_state_expectation_ent(m_copies: int, state: PreparedState) -> float:

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import mpmath
 
+from clonebench import cg_overlap_count
+
 
 def frac_binomial(n_copies: int, twice: int) -> Fraction:
     """Exact b_{N,n} = C(N, N/2+n) / 2^N with n = twice/2."""
@@ -57,3 +59,28 @@ def eco_clone_fidelity_oracle(n_copies: int, m_copies: int) -> float:
 def p_true_oracle(n_copies: int) -> float:
     fracs = [frac_binomial(n_copies, t) for t in range(-n_copies, n_copies + 1, 2)]
     return _sqrt_sum_squared(fracs)
+
+
+def mp_fidelity_ent_oracle(n_copies: int, state) -> float:
+    """Entangled measure-and-prepare fidelity as the direct quadruple sum.
+
+    Sums sqrt(c_j1 c_j2) v_j3 v_j4 cg_overlap_count(j1, j2, j3, j4) over seed
+    labels (j1, j2) and prepared labels (j3, j4), with v_j = sqrt(p_j c_j) / d_j
+    and every c_j an exact rational.  O(N^2 S^2) for S prepared labels.
+    """
+    seed = [
+        (t, math.sqrt(frac_irrep_weight(n_copies, t)))
+        for t in range(n_copies % 2, n_copies + 1, 2)
+    ]
+    prepared = [
+        (t, math.sqrt(p * frac_irrep_weight(state.M, t)) / (t + 1))
+        for t, p in zip(map(int, state.twice), map(float, state.p))
+        if p > 0
+    ]
+    return math.fsum(
+        w1 * w2 * v3 * v4 * cg_overlap_count(t1 / 2, t2 / 2, t3 / 2, t4 / 2)
+        for t1, w1 in seed
+        for t2, w2 in seed
+        for t3, v3 in prepared
+        for t4, v4 in prepared
+    )

@@ -108,6 +108,8 @@ class TestExitStatuses:
             ["sweep", "--n", "2", "--m", "4", "--grid", "nan"],
             ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "inf"],
             ["sweep", "--n", "2", "--m", "4", "--grid", "inf"],
+            ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "-1e-3"],
+            ["oracle-check", "--tol", "-1e-9"],
         ):
             assert main(argv) == 1
             assert "configuration error" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import (
     DomainError,
@@ -19,7 +22,7 @@ from clonebench import (
 )
 from clonebench.entangled import prepared_char_polynomial, seed_char_polynomial
 from clonebench.spin import sqrt_irrep_weights
-from _oracles import eco_clone_fidelity_oracle
+from _oracles import eco_clone_fidelity_oracle, mp_fidelity_ent_oracle
 
 
 class TestEcoCloneFidelityExact:
@@ -155,6 +158,38 @@ class TestMpFidelityExactEnt:
                 for k in range(len(twice_j))
             )
             assert abs(total - 1.0) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_copies=st.integers(1, 8),
+        extra=st.integers(0, 12),
+        lam=st.floats(1.0, 64.0),
+    )
+    def test_matches_quadruple_sum(self, n_copies, extra, lam):
+        m_copies = n_copies + 2 * extra
+        state = prepared_state_ansatz_ent(m_copies, lam)
+        value = mp_fidelity_exact_ent(n_copies, m_copies, state)
+        assert math.isfinite(value) and 0.0 <= value <= 1.0
+        assert value <= eco_clone_fidelity_exact(n_copies, m_copies)
+        assert value == pytest.approx(mp_fidelity_ent_oracle(n_copies, state), rel=1e-13)
+
+    def test_hand_built_state_matches_quadruple_sum(self):
+        # a support that starts above j_min and has a gap inside
+        state = PreparedState("entangled", M=14, twice=[4, 6, 10], p=[0.5, 0.2, 0.3])
+        for n_copies in (1, 2, 5, 6):
+            assert mp_fidelity_exact_ent(n_copies, 14, state) == pytest.approx(
+                mp_fidelity_ent_oracle(n_copies, state), rel=1e-13
+            )
+
+    def test_naive_row_at_large_m_stays_small(self):
+        state = prepared_state_ansatz_ent(4096, 1.0)
+        tracemalloc.start()
+        try:
+            mp_fidelity_exact_ent(2, 4096, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_mismatched_m_rejected(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from clonebench import (
     run_sweep,
     serialize_report,
 )
+from clonebench import entangled
 from clonebench import report as report_module
 from clonebench.report import CSV_COLUMNS, serialize_appendix
 
@@ -91,6 +92,22 @@ class TestRunSweep:
         (row,) = run_sweep(config).rows
         assert row.f_eig is None
         assert 0 < row.ratio_naive <= 1
+
+    def test_naive_value_taken_from_grid(self, monkeypatch):
+        calls = []
+        evaluate = entangled.mp_fidelity_exact_ent
+
+        def counted(n, m, state):
+            calls.append((n, m))
+            return evaluate(n, m, state)
+
+        monkeypatch.setattr(entangled, "mp_fidelity_exact_ent", counted)
+        (row,) = run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(1.0, 4.0))).rows
+        assert len(calls) == 2
+        assert row.f_naive == evaluate(2, 64, entangled.prepared_state_ansatz_ent(64, 1.0))
+        calls.clear()
+        run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(4.0,)))
+        assert len(calls) == 2  # without lambda = 1 in the grid, one extra naive call
 
     def test_worker_count_clamped(self, monkeypatch):
         monkeypatch.setenv(report_module.WORKERS_ENV, "1000000")
