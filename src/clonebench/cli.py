@@ -21,10 +21,11 @@ logger = logging.getLogger(__name__)
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes -1 and -0.5 for values but -1e-3 for a flag; read the
-        # exponent form as a value too, so it reaches the domain checks.
+        # argparse takes -1 and -0.5 for values but -1e-3, -inf and -nan for
+        # flags; read those as values too, so they reach the domain checks.
         self._negative_number_matcher = re.compile(
             rf"{self._negative_number_matcher.pattern}|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"
+            r"|^-(?i:inf|infinity|nan)$"
         )
 
     # argparse exits with status 2 on bad flags; remap to the config-error status.
@@ -213,7 +214,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("optimize-prep", help="best prepared state via the kernel eigenproblem")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--tol", type=float, default=1e-13,
+                   help="relative residual bound ||A q - f q|| <= tol * f of the returned "
+                        "state q and fidelity f (default 1e-13)")
     add_common(p, family=False)
     p.set_defaults(func=_cmd_optimize_prep)
 

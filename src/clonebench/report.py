@@ -321,9 +321,11 @@ def serialize_appendix(rows: list[AppendixRow], output_format: str) -> str:
 
 def serialize_scalar(payload: dict, output_format: str) -> str:
     """One scalar command's result: `key=value` pairs (plain), a header and a
-    value row (CSV), or the payload as a JSON object."""
+    value row (CSV), or a JSON object; floats carry 12 significant digits in
+    every format."""
     if output_format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({key: _json_value(value) for key, value in payload.items()},
+                          indent=2) + "\n"
     if output_format == "csv":
         return _csv_text(payload.keys(), [payload.values()])
     if output_format == "plain":

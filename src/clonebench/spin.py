@@ -197,7 +197,7 @@ class PreparedState:
             raise DomainError("prepared-state weights must be nonnegative")
         order = np.argsort(twice)
         twice, p = twice[order], p[order]
-        if len(np.unique(twice)) != len(twice):
+        if np.any(np.diff(twice) == 0):
             raise DomainError("duplicate support points")
         full = np.arange(twice[0], twice[-1] + 1, 2, dtype=np.int64)
         dense = np.zeros(len(full))

@@ -35,6 +35,16 @@ class TestScalarCommands:
         assert header == "family,N,M,lambda,f_mp"
         assert values == "entangled,1,1,1,0.5"
 
+    def test_scalar_json_carries_the_plain_digits(self, capsys):
+        argv = ["mp-fidelity", "--family", "entangled", "--n", "48", "--m", "2048",
+                "--lambda", "16"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert plain.strip().endswith(f"f_mp={payload['f_mp']!r}")
+        assert payload["f_mp"] == 0.0157632695866
+
     def test_optimize_prep_replay_consistency(self, capsys):
         assert main(["optimize-prep", "--n", "2", "--m", "16", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -110,6 +120,8 @@ class TestExitStatuses:
             ["sweep", "--n", "2", "--m", "4", "--grid", "inf"],
             ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "-1e-3"],
             ["oracle-check", "--tol", "-1e-9"],
+            ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "-inf"],
+            ["oracle-check", "--tol", "-nan"],
         ):
             assert main(argv) == 1
             assert "configuration error" in capsys.readouterr().err

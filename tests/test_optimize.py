@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clonebench import (
     ConvergenceError,
@@ -12,9 +15,31 @@ from clonebench import (
     lambda_sweep,
     mp_fidelity_exact,
     optimal_prepared_state,
+    outcome_density_fourier,
     prepared_state_ansatz,
     relative_gap,
 )
+from clonebench.spin import sqrt_binomial_weights
+
+
+def _full_lattice_matvec(n_copies, m_copies, x):
+    """Kernel product on the whole M-lattice, one shifted slice per lag."""
+    sqrt_b = sqrt_binomial_weights(m_copies)
+    a = outcome_density_fourier(n_copies)
+    u = sqrt_b * x
+    out = a[0] * u
+    for k in range(1, len(a)):
+        out[:-k] += a[k] * u[k:]
+        out[k:] += a[k] * u[:-k]
+    return sqrt_b * out
+
+
+def _full_lattice_dense(n_copies, m_copies):
+    sqrt_b = sqrt_binomial_weights(m_copies)
+    a = np.zeros(m_copies + 1)
+    a[: n_copies + 1] = outcome_density_fourier(n_copies)
+    lag = np.abs(np.subtract.outer(np.arange(m_copies + 1), np.arange(m_copies + 1)))
+    return np.outer(sqrt_b, sqrt_b) * a[lag]
 
 
 class TestQuadraticForm:
@@ -32,10 +57,13 @@ class TestQuadraticForm:
         assert np.linalg.eigvalsh(dense).min() >= -1e-12
 
     def test_matvec_matches_dense(self):
-        form = build_quadratic_form(3, 9)
-        rng = np.random.default_rng(5)
-        vec = rng.normal(size=form.dimension)
-        assert form.matvec(vec) == pytest.approx(form.to_dense() @ vec, abs=1e-13)
+        # (8, 8), (12, 4): the band is wider than the lattice; (2, 600): a
+        # trimmed window.
+        for pair in [(3, 9), (8, 8), (12, 4), (2, 600)]:
+            form = build_quadratic_form(*pair)
+            rng = np.random.default_rng(5)
+            vec = rng.normal(size=form.dimension)
+            assert form.matvec(vec) == pytest.approx(form.to_dense() @ vec, abs=1e-13)
 
 
 class TestOptimalPreparedState:
@@ -70,6 +98,39 @@ class TestOptimalPreparedState:
             optimal_prepared_state(build_quadratic_form(2, 64), tol=0.0, max_iter=2)
         assert info.value.residual >= 0.0
         assert info.value.iterations == 2
+
+    @pytest.mark.parametrize("pair", [(1, 100001), (4, 100000)])
+    def test_residual_on_full_lattice(self, pair):
+        n_copies, m_copies = pair
+        fidelity, state = optimal_prepared_state(build_quadratic_form(*pair))
+        assert len(state.twice) < m_copies + 1  # the tail was trimmed
+        assert np.all(state.p > 0)
+        x = np.zeros(m_copies + 1)
+        start = (int(state.twice[0]) + m_copies) // 2
+        x[start : start + len(state.p)] = np.sqrt(state.p)
+        residual = np.linalg.norm(_full_lattice_matvec(n_copies, m_copies, x) - fidelity * x)
+        assert residual <= 1e-13 * fidelity
+
+    @pytest.mark.parametrize("pair", [(1, 301), (2, 400), (3, 601), (6, 500)])
+    def test_window_matches_full_dense_eigenvalue(self, pair):
+        fidelity, _ = optimal_prepared_state(build_quadratic_form(*pair))
+        full = float(np.linalg.eigvalsh(_full_lattice_dense(*pair))[-1])
+        assert fidelity == pytest.approx(full, rel=1e-13)
+
+    def test_window_trims_weightless_tail(self):
+        form = build_quadratic_form(2, 16384)
+        assert form.dimension == 1601
+        assert form.twice[0] == -form.twice[-1]
+        assert np.all(form.sqrt_b > 1e-17 * form.sqrt_b.max())
+
+    def test_unreachable_tolerance_fails_fast(self):
+        form = build_quadratic_form(1, 100001)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError) as info:
+            optimal_prepared_state(form, tol=1e-20)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(info.value.residual)
+        assert info.value.iterations == 300
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0])
     def test_unmeetable_tolerance_fails_at_once(self, tol):
@@ -154,3 +215,23 @@ class TestDominanceChain:
                 assert naive <= sweep.best_fidelity + 1e-9
                 assert sweep.best_fidelity <= eigen + 1e-9
                 assert eigen <= f_clon + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_copies=st.integers(1, 8),
+        extra=st.integers(0, 40),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    )
+    def test_chain_property(self, n_copies, extra, fractions):
+        # F_lambda at one lambda may fall below F_naive ((3, 3, 1.5) does), so
+        # the chain runs through the best lambda of a grid that holds 1.
+        m_copies = n_copies + 2 * extra
+        lambdas = [1.0] + [1.0 + f * (m_copies - 1.0) for f in fractions]
+        sweep = lambda_sweep(n_copies, m_copies, lambdas)
+        rows = dict(sweep.rows)
+        eigen, _ = optimal_prepared_state(build_quadratic_form(n_copies, m_copies))
+        f_clon = clone_fidelity_exact(n_copies, m_copies)
+        for value in (eigen, f_clon, *rows.values()):
+            assert math.isfinite(value) and 0.0 <= value <= 1.0 + 1e-13
+        assert rows[1.0] <= sweep.best_fidelity <= eigen * (1 + 1e-13)
+        assert eigen <= f_clon * (1 + 1e-13)
