@@ -73,7 +73,8 @@ def outcome_density_fourier(n_copies: int) -> np.ndarray:
     e^{in theta}|^2, so it is nonnegative by construction; a_k is the lag-k
     autocorrelation of the sqrt-binomial vector, and a_0 = 1.
     """
-    return _lag_products(sqrt_binomial_weights(n_copies), n_copies)
+    sb = sqrt_binomial_weights(n_copies)
+    return np.correlate(sb, sb, "full")[n_copies:]
 
 
 def ansatz_cutoff(m_copies: int, lam: float) -> tuple[int, bool]:

@@ -58,8 +58,7 @@ class Family:
 
 # The entries look the evaluators up in their modules at call time rather
 # than holding the function objects, so a rebound module attribute (a tracer
-# or a test double) is what runs.  Process-pool tasks carry the family name,
-# since these lambdas do not pickle.
+# or a test double) is what runs.
 FAMILIES: dict[str, Family] = {
     "qubit": Family(
         clone_fidelity=lambda n, m: equatorial.clone_fidelity_exact(n, m),
@@ -92,7 +91,6 @@ class QuadraticForm:
     a matvec is one band convolution, O(N d) on d window labels.
     """
 
-    n_copies: int
     m_copies: int
     twice: np.ndarray
     sqrt_b: np.ndarray
@@ -107,16 +105,6 @@ class QuadraticForm:
         band = np.concatenate((lags[:0:-1], lags))
         width = len(lags) - 1
         return self.sqrt_b * np.convolve(self.sqrt_b * q, band)[width : width + len(q)]
-
-    def to_dense(self) -> np.ndarray:
-        size = self.dimension
-        a = np.zeros(size)
-        a[: len(self.fourier)] = self.fourier[:size]
-        lag = np.abs(np.arange(size)[:, None] - np.arange(size)[None, :])
-        return np.outer(self.sqrt_b, self.sqrt_b) * a[lag]
-
-    def trace(self) -> float:
-        return float(self.fourier[0] * np.dot(self.sqrt_b, self.sqrt_b))
 
 
 def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
@@ -141,7 +129,6 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     sqrt_b = np.exp(0.5 * log_binomial_weight(m_copies, twice))
     window = sqrt_b > _WINDOW_FLOOR * sqrt_b.max()
     return QuadraticForm(
-        n_copies=n_copies,
         m_copies=m_copies,
         twice=twice[window],
         sqrt_b=sqrt_b[window],

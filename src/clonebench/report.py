@@ -1,10 +1,9 @@
 """Sweep orchestration and CSV/JSON report emission.
 
-Rows are computed by a parallel map (worker count from the CLONEBENCH_WORKERS
-environment variable, serial by default) and sorted before emission, so the
-report content never depends on scheduling.  All numeric columns are
-deterministic across runs; wall_time_ms is measured and therefore is the one
-column exempt from bit-identical reproducibility.
+A sweep computes its rows one after another, in ascending (N, M) order over
+the deduplicated copy numbers, so a report lists its rows in that order.  All
+numeric columns are deterministic across runs; wall_time_ms is measured and
+therefore is the one column exempt from bit-identical reproducibility.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import io
 import json
 import logging
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -27,8 +24,6 @@ from .errors import DomainError
 from .equatorial import ansatz_cutoff
 
 logger = logging.getLogger(__name__)
-
-WORKERS_ENV = "CLONEBENCH_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,7 @@ class SweepReport:
     config_hash: str = ""
 
 
-def _compute_row(task) -> SweepRow:
-    family, n_copies, m_copies, lambdas = task
+def _compute_row(family: str, n_copies: int, m_copies: int, lambdas) -> SweepRow:
     start = time.perf_counter()
     gap = optimize.relative_gap(n_copies, m_copies, family, lambdas)
     naive = dict(gap.sweep.rows).get(1.0)
@@ -117,20 +111,9 @@ def _compute_row(task) -> SweepRow:
     )
 
 
-def _worker_count(task_count: int) -> int:
-    """CLONEBENCH_WORKERS, clamped to the CPU count and to the number of tasks."""
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        logger.warning("ignoring non-integer %s=%r", WORKERS_ENV, raw)
-        return 1
-    return max(1, min(count, os.cpu_count() or 1, task_count))
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Evaluate every admissible (N, M) pair; inadmissible pairs are logged and skipped."""
-    tasks = []
+    rows = []
     for n_copies in sorted(set(config.n_values)):
         for m_copies in sorted(set(config.m_values)):
             if m_copies < n_copies or (m_copies - n_copies) % 2 != 0:
@@ -140,7 +123,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     m_copies,
                 )
                 continue
-            for lam in config.lambdas_for(m_copies):
+            lambdas = config.lambdas_for(m_copies)
+            for lam in lambdas:
                 _, clamped = ansatz_cutoff(m_copies, lam)
                 if clamped:
                     logger.warning(
@@ -149,14 +133,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                         m_copies,
                         lam,
                     )
-            tasks.append((config.family, n_copies, m_copies, config.lambdas_for(m_copies)))
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compute_row, tasks))
-    else:
-        rows = [_compute_row(task) for task in tasks]
-    rows.sort(key=lambda row: (row.family, row.n_copies, row.m_copies))
+            rows.append(_compute_row(config.family, n_copies, m_copies, lambdas))
     return SweepReport(rows=rows, config_hash=config.digest())
 
 

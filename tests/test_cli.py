@@ -73,6 +73,16 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert out.strip().count("\n") == 0  # header only
 
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_rows_in_ascending_n_m_order(self, capsys, output_format):
+        argv = ["sweep", "--n", "4,2,2", "--m", "64,16", "--grid", "1",
+                "--format", output_format]
+        assert main(argv) == 0
+        report = parse_report(capsys.readouterr().out, output_format)
+        assert [(row.n_copies, row.m_copies) for row in report.rows] == [
+            (2, 16), (2, 64), (4, 16), (4, 64)
+        ]
+
     def test_lambda_rule(self, capsys):
         assert main(
             ["sweep", "--n", "2", "--m", "16", "--lambda-rule", "0.5"]
@@ -106,7 +116,12 @@ class TestAppendixCommand:
 
 class TestExitStatuses:
     def test_bad_flag_is_config_error(self, capsys):
-        assert main(["sweep", "--n", "not-a-number", "--m", "1", "--grid", "1"]) == 1
+        for argv in (
+            ["sweep", "--n", "not-a-number", "--m", "1", "--grid", "1"],
+            ["sweep", "--n", "2", "--m", "4", "--grid", "1,x"],
+        ):
+            assert main(argv) == 1
+            assert "error: argument --" in capsys.readouterr().err
 
     def test_unknown_command_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -122,6 +137,8 @@ class TestExitStatuses:
             ["oracle-check", "--tol", "-1e-9"],
             ["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "-inf"],
             ["oracle-check", "--tol", "-nan"],
+            ["clone-fidelity", "--n", "0", "--m", "2"],
+            ["sweep", "--n", "2", "--m", "4", "--grid", ","],
         ):
             assert main(argv) == 1
             assert "configuration error" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from clonebench import (
     sqrt_binomial_second_moment,
     sqrt_binomial_sum,
 )
+from clonebench.spin import sqrt_binomial_weights
 from _oracles import clone_fidelity_oracle, p_true_oracle
 
 
@@ -92,6 +93,14 @@ class TestOutcomeDensityFourier:
         assert len(density) == 2
         assert density[0] == pytest.approx(1.0)
         assert density[1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n_copies", [1, 2, 4, 7, 64, 256, 1000, 2048])
+    def test_equals_per_lag_dot_products(self, n_copies):
+        # The same sums as one np.dot per lag, bit for bit at these N, so the
+        # printed digits do not move.  (At N = 5 lag 0 is one ulp apart.)
+        sb = sqrt_binomial_weights(n_copies)
+        per_lag = [np.dot(sb[: len(sb) - k], sb[k:]) for k in range(n_copies + 1)]
+        assert np.array_equal(outcome_density_fourier(n_copies), per_lag)
 
     @pytest.mark.parametrize("n_copies", [1, 2, 3, 8, 31])
     def test_zero_lag_is_one(self, n_copies):

@@ -16,7 +16,6 @@ from clonebench import (
     serialize_report,
 )
 from clonebench import entangled
-from clonebench import report as report_module
 from clonebench.report import CSV_COLUMNS, serialize_appendix
 
 
@@ -109,15 +108,6 @@ class TestRunSweep:
         run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(4.0,)))
         assert len(calls) == 2  # without lambda = 1 in the grid, one extra naive call
 
-    def test_worker_count_clamped(self, monkeypatch):
-        monkeypatch.setenv(report_module.WORKERS_ENV, "1000000")
-        monkeypatch.setattr(report_module.os, "cpu_count", lambda: 2)
-        assert report_module._worker_count(5) == 2
-        assert report_module._worker_count(1) == 1
-        assert report_module._worker_count(0) == 1
-        monkeypatch.setattr(report_module.os, "cpu_count", lambda: None)
-        assert report_module._worker_count(5) == 1
-
     def test_deterministic_up_to_timing(self):
         config = SweepConfig("qubit", (1, 2), (2, 4, 8), lambda_grid=(1.0, 2.0))
         first = run_sweep(config)
@@ -189,6 +179,11 @@ class TestSerialization:
         payload = json.loads(serialize_report(SweepReport(config_hash="deadbeef"), "json"))
         assert payload["config_hash"] == "deadbeef"
         assert "version" in payload
+
+    def test_wrong_csv_header_rejected(self):
+        text = serialize_report(SweepReport(), "csv").replace("f_clon", "f_clone")
+        with pytest.raises(DomainError, match="unexpected CSV header"):
+            parse_report(text, "csv")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):

@@ -77,6 +77,16 @@ class TestBinomialWeight:
         assert central_binomial_weight(2) == pytest.approx(0.5)
         assert central_binomial_weight(3) == pytest.approx(3 / 8)
 
+    @pytest.mark.parametrize("n_copies", [8193, 10001, 16385])
+    def test_gammaln_branch_above_exact_comb_max(self, n_copies):
+        # Above _EXACT_COMB_MAX the weight comes from gammaln, whose log terms
+        # lose ~1e-11 relative at these N (the worst case here is 1.6e-11).
+        # Loader's saddle-point form (ROADMAP item 2) would tighten this bound.
+        for labels_out in (0, 20, 100):
+            t = n_copies % 2 + 2 * labels_out
+            exact = float(frac_binomial(n_copies, t))
+            assert binomial_weight(n_copies, t / 2) == pytest.approx(exact, rel=5e-11)
+
 
 class TestIrrepSpectrum:
     def test_single_copy(self):
