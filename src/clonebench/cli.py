@@ -12,6 +12,8 @@ import random
 import re
 import sys
 
+import numpy as np
+
 from . import entangled, equatorial, optimize, quadrature, report
 from .errors import ConvergenceError, DomainError
 
@@ -147,18 +149,14 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
     )
     yield "su2-class", worst_ent, tol_ent
 
+    t = np.indices((13,) * 4).reshape(4, -1)  # every quadruple of doubled labels 0..12
+    counts = entangled.cg_overlap_count(*t / 2)
+    nodes = np.broadcast_to(nodes_or(2 * t.sum(axis=0) + 8), counts.shape)
     worst_cg = 0.0
-    labels = range(0, 13)  # doubled j from 0 to 6
-    for t1 in labels:
-        for t2 in labels:
-            for t3 in labels:
-                for t4 in labels:
-                    count = entangled.cg_overlap_count(t1 / 2, t2 / 2, t3 / 2, t4 / 2)
-                    nodes = nodes_or(2 * (t1 + t2 + t3 + t4) + 8)
-                    value = quadrature.weyl_quadrature_char4(
-                        t1 / 2, t2 / 2, t3 / 2, t4 / 2, nodes
-                    )
-                    worst_cg = max(worst_cg, abs(value - count))
+    for group_nodes in np.unique(nodes):  # one call per node count
+        group = nodes == group_nodes
+        values = quadrature.weyl_quadrature_char4(*t[:, group] / 2, int(group_nodes))
+        worst_cg = max(worst_cg, float(np.max(np.abs(values - counts[group]))))
     yield "character-integral", worst_cg, tol_ent
 
 

@@ -93,22 +93,24 @@ def eco_clone_fidelity_large_n(n_copies: int, m_copies: int) -> float:
     return (4.0 * n_copies / m_copies) ** 1.5
 
 
-def cg_overlap_count(j1: float, j2: float, j3: float, j4: float) -> int:
+def cg_overlap_count(j1, j2, j3, j4):
     """Number of common irreps in the Clebsch-Gordan series of j1 x j2 and j3 x j4.
 
     Equals the Haar integral of chi_{j1} chi_{j2} chi_{j3} chi_{j4}: each series
     runs from |j - j'| to j + j' in unit steps, so the integral counts the
     lattice overlap and vanishes when the two series live on different
-    integer/half-integer lattices.
+    integer/half-integer lattices.  Scalar labels give an int; equal-shape
+    arrays of labels give an int array, one count per quadruple.
     """
-    t1, t2, t3, t4 = (_doubled(j) for j in (j1, j2, j3, j4))
-    if min(t1, t2, t3, t4) < 0:
+    t = np.array([_doubled(j) for j in (j1, j2, j3, j4)])
+    if t.min(initial=0) < 0:
         raise DomainError("total-spin labels must be nonnegative")
-    if (t1 + t2) % 2 != (t3 + t4) % 2:
-        return 0
-    lo = max(abs(t1 - t2), abs(t3 - t4))
-    hi = min(t1 + t2, t3 + t4)
-    return max(0, (hi - lo) // 2 + 1)
+    t1, t2, t3, t4 = t
+    lo = np.maximum(abs(t1 - t2), abs(t3 - t4))
+    hi = np.minimum(t1 + t2, t3 + t4)
+    same_lattice = (t1 + t2 - t3 - t4) % 2 == 0
+    count = np.maximum(0, (hi - lo) // 2 + 1) * same_lattice
+    return int(count) if count.ndim == 0 else count
 
 
 def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:

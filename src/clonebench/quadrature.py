@@ -24,6 +24,9 @@ from .spin import (
 )
 
 
+_CHUNK = 1024  # nodes per block of the node-axis loops
+
+
 class QuadratureWarning(UserWarning):
     """Node count below the exactness threshold; the result may be inexact."""
 
@@ -64,8 +67,8 @@ def phase_quadrature_fidelity(
     # Node axis is chunked so the (support x nodes) phase matrix stays small
     # even for M ~ 10^4 with the full naive support.
     total = 0.0
-    for start in range(0, nodes, 1024):
-        block = theta[start : start + 1024]
+    for start in range(0, nodes, _CHUNK):
+        block = theta[start : start + _CHUNK]
         amp_seed = np.exp(1j * np.outer(half_n, block)).T @ sb
         amp_prep = np.exp(1j * np.outer(half_m, block)).T @ v
         total += float(np.sum(np.abs(amp_seed) ** 2 * np.abs(amp_prep) ** 2))
@@ -77,24 +80,52 @@ def _class_angles(nodes: int) -> np.ndarray:
     return (np.arange(nodes) + 0.5) * math.pi / nodes
 
 
-def weyl_quadrature_char4(
-    j1: float, j2: float, j3: float, j4: float, nodes: int
-) -> float:
+def weyl_quadrature_char4(j1, j2, j3, j4, nodes: int):
     """Haar integral of four SU(2) characters by class-angle quadrature.
 
     Uses (2/pi) integral over (0, pi) of chi chi chi chi sin^2(phi), sampled
-    on the open midpoint grid; exact once nodes clears the combined bandwidth.
+    on the open midpoint grid; exact once nodes clears the combined bandwidth
+    2(t1 + t2 + t3 + t4) + 8 in doubled labels t = 2j.  Scalar labels give a
+    float; equal-shape arrays of labels give a float array, one integral per
+    quadruple, and warn if any quadruple is below its threshold.
     """
-    t = [_doubled(j) for j in (j1, j2, j3, j4)]
-    if min(t) < 0:
+    t = np.array([_doubled(j) for j in (j1, j2, j3, j4)])
+    if t.min(initial=0) < 0:
         raise DomainError("total-spin labels must be nonnegative")
-    _check_nodes(nodes, 2 * sum(t) + 8)
+    _check_nodes(nodes, 2 * int(t.sum(axis=0).max(initial=0)) + 8)
     phi = _class_angles(nodes)
+    if t.ndim > 1:
+        return _char4_gram(t, phi)
+    # One quadruple: a product of four node vectors, ~2.5x cheaper than a 1 x 1 Gram.
     sin_phi = np.sin(phi)
     product = np.ones_like(phi)
     for ti in t:
         product *= np.sin((ti + 1) * phi) / sin_phi
     return float(2.0 / nodes * np.sum(product * sin_phi**2))
+
+
+def _char4_gram(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The char4 quadrature for a (4, ...) array of doubled labels on nodes phi.
+
+    A quadruple's sum is the dot product of the node vectors chi_{t1} chi_{t2}
+    and chi_{t3} chi_{t4} sin^2, so every quadruple is read from one Gram
+    matrix over the distinct (t1, t2) and (t3, t4) pairs.  The node axis is
+    chunked, so memory is O(pairs x chunk) for any node count.
+    """
+    labels, row = np.unique(t, return_inverse=True)
+    row = row.reshape(4, -1)
+    width = len(labels)
+    left, left_of = np.unique(row[0] * width + row[1], return_inverse=True)
+    right, right_of = np.unique(row[2] * width + row[3], return_inverse=True)
+    gram = np.zeros((len(left), len(right)))
+    for start in range(0, len(phi), _CHUNK):
+        block = phi[start : start + _CHUNK]
+        sin_phi = np.sin(block)
+        chi = np.sin(np.outer(labels + 1, block)) / sin_phi
+        pairs_left = chi[left // width] * chi[left % width]
+        pairs_right = chi[right // width] * chi[right % width] * sin_phi**2
+        gram += pairs_left @ pairs_right.T
+    return 2.0 / len(phi) * gram[left_of, right_of].reshape(t.shape[1:])
 
 
 def su2_nodes_required(n_copies: int, m_copies: int) -> int:

@@ -20,17 +20,26 @@ from .errors import DomainError
 _LOG2 = math.log(2.0)
 
 
-def _doubled(value: float) -> int:
+def _doubled(value):
     """The doubled value 2s of a half-integer spin label s (2n or 2j).
 
-    Private so that an outside-in tracer of the public functions does not
-    record one span per label coerced.
+    A scalar gives an int; an array of labels gives an int64 array of the same
+    shape.  Scalars keep plain Python arithmetic, which is ~10x cheaper per
+    call than the array path.  Private so that an outside-in tracer of the
+    public functions does not record one span per label coerced.
     """
-    twice = 2 * value
-    rounded = round(twice)
-    if abs(twice - rounded) > 1e-9:
-        raise DomainError(f"{value!r} is not a half-integer spin label")
-    return int(rounded)
+    if isinstance(value, (int, float, np.number)):
+        twice = 2 * value
+        rounded = round(twice)
+        if abs(twice - rounded) > 1e-9:
+            raise DomainError(f"{value!r} is not a half-integer spin label")
+        return int(rounded)
+    twice = 2 * np.asarray(value, dtype=float)
+    rounded = np.rint(twice)
+    off = ~(np.abs(twice - rounded) <= 1e-9)  # NaN and inf are off too
+    if off.any():
+        raise DomainError(f"{float(twice[off][0]) / 2!r} is not a half-integer spin label")
+    return rounded.astype(np.int64)
 
 
 def _check_copies(n_copies: int) -> None:

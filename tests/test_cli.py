@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from clonebench import cli, parse_report
+from clonebench import QuadratureWarning, cli, parse_report, quadrature
 from clonebench.cli import main
 
 
@@ -167,6 +168,36 @@ class TestOracleCheck:
     def test_oracle_check_rejects_degenerate_nodes(self, capsys):
         assert main(["oracle-check", "--nodes", "2"]) == 1
         assert main(["oracle-check", "--nodes", "0"]) == 1
+
+    def test_nodes_override_applies_to_every_stage(self, capsys):
+        with pytest.warns(QuadratureWarning):
+            assert main(["oracle-check", "--nodes", "40"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == ("phase-circle: max |closed-form - quadrature| = 7.432e-04 "
+                            "(tol 1e-10) -> FAIL")
+        assert lines[1].startswith("su2-class: ") and lines[1].endswith("-> PASS")
+        name, gap = lines[2].split(" (")[0].split(" = ")
+        assert name == "character-integral: max |closed-form - quadrature|"
+        assert float(gap) < 1e-13
+        assert lines[2].endswith("(tol 1e-09) -> PASS")
+
+    @pytest.mark.parametrize("nodes, calls", [(None, 49), (40, 1)])
+    def test_one_char4_call_per_node_count(self, monkeypatch, nodes, calls):
+        seen = []
+        weyl = quadrature.weyl_quadrature_char4
+
+        def counting(*args):
+            seen.append(args[-1])
+            return weyl(*args)
+
+        monkeypatch.setattr(quadrature, "weyl_quadrature_char4", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            stages = list(cli._oracle_lines(nodes, 1e-10, 1e-9))
+        assert stages[2][0] == "character-integral"
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
 
 
 class TestOracleCheckTolerance:

@@ -101,6 +101,24 @@ class TestCgOverlapCount:
         with pytest.raises(DomainError):
             cg_overlap_count(-0.5, 0.5, 0, 0)
 
+    def test_scalar_labels_give_an_int(self):
+        assert type(cg_overlap_count(1.5, 2, 0.5, 3)) is int
+
+    def test_array_matches_scalar_on_the_full_grid(self):
+        t = np.indices((13,) * 4).reshape(4, -1)
+        counts = cg_overlap_count(*t / 2)
+        assert counts.shape == (13**4,)
+        for k, quadruple in enumerate(t.T):
+            assert counts[k] == cg_overlap_count(*(int(x) / 2 for x in quadruple))
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.3, float("nan")])
+    @pytest.mark.parametrize("position", range(4))
+    def test_bad_array_entry_rejected(self, bad, position):
+        labels = [np.array([0.0, 1.0, 2.5]) for _ in range(4)]
+        labels[position][1] = bad
+        with pytest.raises(DomainError):
+            cg_overlap_count(*labels)
+
 
 class TestPreparedStateAnsatzEnt:
     def test_lambda_one_is_naive_copies(self):

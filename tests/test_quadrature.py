@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -74,6 +76,69 @@ class TestWeylQuadrature:
     def test_coarse_grid_warns(self):
         with pytest.warns(QuadratureWarning):
             weyl_quadrature_char4(2, 2, 2, 2, 10)
+
+    def test_scalar_labels_give_a_float(self):
+        assert type(weyl_quadrature_char4(1.5, 2, 0.5, 3, 36)) is float
+
+
+def _grid():
+    """Every quadruple of doubled labels 0..12, as a (4, 13**4) int array."""
+    return np.indices((13,) * 4).reshape(4, -1)
+
+
+class TestWeylQuadratureArrays:
+    def test_array_matches_scalar_calls(self):
+        t = _grid()[:, ::37]
+        nodes = 2 * t.sum(axis=0) + 8
+        assert t.shape[1] >= 700
+        for group_nodes in np.unique(nodes):
+            group = t[:, nodes == group_nodes]
+            values = weyl_quadrature_char4(*group / 2, int(group_nodes))
+            assert values.shape == (group.shape[1],)
+            for value, quadruple in zip(values, group.T):
+                scalar = weyl_quadrature_char4(*(int(x) / 2 for x in quadruple),
+                                               int(group_nodes))
+                assert abs(value - scalar) <= 1e-14
+
+    def test_keeps_the_label_shape(self):
+        j = np.full((2, 3), 0.5)
+        values = weyl_quadrature_char4(j, j, j, j, 40)
+        assert values.shape == (2, 3)
+        assert values == pytest.approx(np.full((2, 3), 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.3, float("nan")])
+    @pytest.mark.parametrize("position", range(4))
+    def test_bad_array_entry_rejected(self, bad, position):
+        labels = [np.array([0.0, 1.0, 2.5]) for _ in range(4)]
+        labels[position][1] = bad
+        with pytest.raises(DomainError):
+            weyl_quadrature_char4(*labels, 64)
+
+    @pytest.mark.parametrize("nodes", [2, 0])
+    def test_too_few_nodes_rejected(self, nodes):
+        j = np.zeros(3)
+        with pytest.raises(DomainError):
+            weyl_quadrature_char4(j, j, j, j, nodes)
+
+    def test_one_member_below_threshold_warns(self):
+        j = np.array([0.0, 2.0])  # thresholds 8 and 40
+        with pytest.warns(QuadratureWarning):
+            weyl_quadrature_char4(j, j, j, j, 39)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            weyl_quadrature_char4(j, j, j, j, 40)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # One group at 20000 nodes, as `oracle-check --nodes 20000` forms it.  A
+        # Gram formed over the whole node axis at once needs > 16 MB per factor.
+        j = _grid() / 2
+        tracemalloc.start()
+        try:
+            weyl_quadrature_char4(*j, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestSu2Quadrature:
