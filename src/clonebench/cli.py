@@ -152,21 +152,16 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
     t = np.indices((13,) * 4).reshape(4, -1)  # every quadruple of doubled labels 0..12
     counts = entangled.cg_overlap_count(*t / 2)
     nodes = np.broadcast_to(nodes_or(2 * t.sum(axis=0) + 8), counts.shape)
+    order = np.argsort(nodes, kind="stable")  # groups keep the grid order
     worst_cg = 0.0
-    for group_nodes in np.unique(nodes):  # one call per node count
-        group = nodes == group_nodes
-        values = quadrature.weyl_quadrature_char4(*t[:, group] / 2, int(group_nodes))
+    for group in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
+        values = quadrature.weyl_quadrature_char4(*t[:, group] / 2, int(nodes[group[0]]))
         worst_cg = max(worst_cg, float(np.max(np.abs(values - counts[group]))))
     yield "character-integral", worst_cg, tol_ent
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.tol is None:
-        tol_qubit, tol_ent = 1e-10, 1e-9
-    elif not args.tol >= 0:  # also rejects NaN
-        raise DomainError(f"tolerance must be >= 0, got {args.tol}")
-    else:
-        tol_qubit = tol_ent = args.tol
+    tol_qubit, tol_ent = (1e-10, 1e-9) if args.tol is None else (args.tol, args.tol)
     status = 0
     for name, worst, tol in _oracle_lines(args.nodes, tol_qubit, tol_ent):
         ok = worst <= tol
@@ -241,6 +236,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "tol", None) is not None and not args.tol >= 0:  # also NaN
+            raise DomainError(f"tolerance must be >= 0, got {args.tol}")
         return args.func(args)
     except DomainError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")

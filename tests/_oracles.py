@@ -9,8 +9,10 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from clonebench import cg_overlap_count
+from clonebench.spin import log_binomial_weight, sqrt_binomial_weights
 
 
 def frac_binomial(n_copies: int, twice: int) -> Fraction:
@@ -84,3 +86,24 @@ def mp_fidelity_ent_oracle(n_copies: int, state) -> float:
         for t3, v3 in prepared
         for t4, v4 in prepared
     )
+
+
+def phase_quadrature_reference(n_copies: int, m_copies: int, state, nodes: int) -> float:
+    """The equispaced phase-circle rule summed node by node, without an FFT.
+
+    Both amplitudes come from complex-exponential matrices over 1024-node
+    blocks of theta = 2 pi l / nodes - pi; no coefficient is folded.  No
+    domain checks: a reference for quadrature.phase_quadrature_fidelity.
+    """
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
+    sb = sqrt_binomial_weights(n_copies)
+    half_n = np.arange(-n_copies, n_copies + 1, 2) / 2.0
+    v = np.sqrt(state.p) * np.exp(0.5 * log_binomial_weight(m_copies, state.twice))
+    half_m = state.twice / 2.0
+    total = 0.0
+    for start in range(0, nodes, 1024):
+        block = theta[start : start + 1024]
+        amp_seed = np.exp(1j * np.outer(half_n, block)).T @ sb
+        amp_prep = np.exp(1j * np.outer(half_m, block)).T @ v
+        total += float(np.sum(np.abs(amp_seed) ** 2 * np.abs(amp_prep) ** 2))
+    return total / nodes

@@ -151,9 +151,15 @@ class TestExitStatuses:
         assert err.startswith("fatal: out of memory") and err.count("\n") == 1
 
     def test_non_convergence_is_exit_two(self, capsys):
-        code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "-1"])
+        code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"])
         assert code == 2
         assert "non-convergence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_optimize_prep_negative_or_nan_tol_is_config_error(self, capsys, tol):
+        assert main(["optimize-prep", "--n", "1", "--m", "1", "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "tolerance must be >= 0" in err
 
 
 class TestOracleCheck:

@@ -20,6 +20,7 @@ from clonebench import (
 import numpy as np
 
 from clonebench import PreparedState
+from _oracles import phase_quadrature_reference
 
 
 class TestQuadratureSpec:
@@ -58,6 +59,50 @@ class TestPhaseQuadrature:
         state = prepared_state_ansatz(8, 1.0)
         with pytest.warns(QuadratureWarning):
             phase_quadrature_fidelity(2, 8, state, 5)
+
+
+class TestPhaseQuadratureByFFT:
+    """The folded-FFT rule against the node-by-node sum it replaced."""
+
+    def test_matches_the_node_sum(self):
+        rng = random.Random(2024)
+        parities, folded, worst = set(), 0, 0.0
+        for _ in range(600):
+            n_copies = rng.randint(1, 6)
+            m_copies = rng.randint(n_copies, 262)
+            state = prepared_state_ansatz(m_copies, rng.choice([1.0, 2.0, 4.0, 8.0]))
+            parities.add((n_copies % 2, m_copies % 2))
+            for nodes in (phase_nodes_required(n_copies, m_copies), 40, 1001):
+                folded += len(state.p) > nodes
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", QuadratureWarning)
+                    value = phase_quadrature_fidelity(n_copies, m_copies, state, nodes)
+                reference = phase_quadrature_reference(n_copies, m_copies, state, nodes)
+                worst = max(worst, abs(value - reference))
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert folded >= 100
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("nodes", [3, 4, 5])
+    def test_seed_longer_than_the_nodes(self, nodes):
+        state = prepared_state_ansatz(9, 2.0)
+        with pytest.warns(QuadratureWarning):
+            value = phase_quadrature_fidelity(6, 9, state, nodes)
+        reference = phase_quadrature_reference(6, 9, state, nodes)
+        assert abs(value - reference) <= 1e-15
+
+    def test_many_nodes_in_little_memory(self):
+        # The full 257-label support: the node-by-node sum over 1024-node
+        # blocks peaks at ~8.8 MB here, the FFT at ~4.6 MB.
+        state = prepared_state_ansatz(256, 1.0)
+        tracemalloc.start()
+        try:
+            value = phase_quadrature_fidelity(6, 256, state, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(value - mp_fidelity_exact(6, 256, state)) <= 1e-14
+        assert peak <= 8 * 2**20
 
 
 class TestWeylQuadrature:
