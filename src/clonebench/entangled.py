@@ -15,7 +15,6 @@ for a prepared state on S labels.  Nothing here materializes a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,38 +31,11 @@ from .spin import (
 from .equatorial import _check_amplification, ansatz_cutoff
 
 
-@dataclass
-class CharPolynomial:
-    """Class function sum_j alpha_j chi_j on SU(2), chi_j(phi) = sin(d_j phi)/sin(phi)."""
-
-    twice: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        self.twice = np.asarray(self.twice, dtype=np.int64)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.twice.shape != self.alpha.shape:
-            raise DomainError("labels and coefficients must match")
-        if len(self.twice) and np.any(self.twice % 2 != self.twice[0] % 2):
-            raise DomainError("character labels must share one parity lattice")
-
-    def evaluate(self, phi: np.ndarray) -> np.ndarray:
-        """Values on class angles phi in (0, pi); the phi=0, pi poles are excluded."""
-        phi = np.asarray(phi, dtype=float)
-        dims = (self.twice + 1).astype(float)
-        return (self.alpha[:, None] * np.sin(np.outer(dims, phi))).sum(axis=0) / np.sin(phi)
-
-
-def seed_char_polynomial(n_copies: int) -> CharPolynomial:
-    """Character expansion of the square-root-measurement seed overlap: sum_j sqrt(c_j) chi_j."""
-    twice_j, sqrt_c = sqrt_irrep_weights(n_copies)
-    return CharPolynomial(twice=twice_j, alpha=sqrt_c)
-
-
-def prepared_char_polynomial(state: PreparedState) -> CharPolynomial:
-    """Character expansion of the prepared-state overlap: sum_j sqrt(p_j c_j) chi_j / d_j."""
+def prepared_char_polynomial(state: PreparedState) -> tuple[np.ndarray, np.ndarray]:
+    """Character expansion of the prepared-state overlap, sum_j sqrt(p_j c_j) chi_j / d_j,
+    as (doubled labels, coefficients)."""
     sqrt_pc = np.sqrt(state.p) * np.exp(0.5 * log_irrep_weight(state.M, state.twice))
-    return CharPolynomial(twice=state.twice, alpha=sqrt_pc / (state.twice + 1.0))
+    return state.twice, sqrt_pc / (state.twice + 1.0)
 
 
 def eco_clone_fidelity_exact(n_copies: int, m_copies: int) -> float:
@@ -121,16 +93,18 @@ def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
     return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
 
 
-def _char_square(poly: CharPolynomial, j_max: int) -> np.ndarray:
+def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
     """Coefficients b_J of poly^2 = sum_J b_J chi_J for J = 0..j_max.
 
-    poly's labels must fill one lattice densely; chi_j chi_j' is then the sum
-    of chi_J over the integers J = |j - j'|, ..., j + j'.  A pair of labels k
-    steps apart adds its product at J = k and takes it off past J = 2j + k in
-    a difference array, whose prefix sum is b.  Pairs more than j_max steps
-    apart add nothing up to j_max: O(j_max len(poly)) time.
+    poly = (doubled labels, alpha) is the class function sum_j alpha_j chi_j,
+    with chi_j(phi) = sin(d_j phi)/sin(phi).  Its labels must fill one lattice
+    densely; chi_j chi_j' is then the sum of chi_J over the integers
+    J = |j - j'|, ..., j + j'.  A pair of labels k steps apart adds its product
+    at J = k and takes it off past J = 2j + k in a difference array, whose
+    prefix sum is b.  Pairs more than j_max steps apart add nothing up to
+    j_max: O(j_max len(alpha)) time.
     """
-    twice, alpha = poly.twice, poly.alpha
+    twice, alpha = poly
     diff = np.zeros(j_max + 2)
     for k in range(min(len(alpha), j_max + 1)):
         products = alpha[: len(alpha) - k] * alpha[k:]
@@ -155,17 +129,9 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     """
     _check_copies(n_copies)
     state.check("entangled", m_copies)
-    seed = _char_square(seed_char_polynomial(n_copies), n_copies)
+    seed = _char_square(sqrt_irrep_weights(n_copies), n_copies)
     prepared = _char_square(prepared_char_polynomial(state), n_copies)
     return math.fsum(seed * prepared)
-
-
-def avg_state_expectation_ent(m_copies: int, state: PreparedState) -> float:
-    """Overlap of the prepared state with the group-averaged M-copy state."""
-    state.check("entangled", m_copies)
-    c = np.exp(log_irrep_weight(m_copies, state.twice))
-    d = state.twice + 1.0
-    return float(np.dot(state.p, c / (d * d)))
 
 
 def p_true_ent(n_copies: int) -> float:

@@ -123,12 +123,6 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedState) -> flo
     return math.fsum([a[0] * c[0], *(2.0 * a[1 : len(c)] * c[1:])])
 
 
-def avg_state_expectation(m_copies: int, state: PreparedState) -> float:
-    """Overlap of the prepared state with the phase-averaged M-copy state."""
-    state.check("qubit", m_copies)
-    return float(np.dot(state.p, np.exp(log_binomial_weight(m_copies, state.twice))))
-
-
 def sqrt_binomial_sum(n_copies: int) -> float:
     """sum_n sqrt(b_{N,n}); approaches (2 pi N)^(1/4) for large N."""
     return math.fsum(sqrt_binomial_weights(n_copies))

@@ -15,12 +15,13 @@ import warnings
 import numpy as np
 
 from .errors import DomainError
-from .entangled import prepared_char_polynomial, seed_char_polynomial
+from .entangled import prepared_char_polynomial
 from .spin import (
     PreparedState,
     _doubled,
     log_binomial_weight,
     sqrt_binomial_weights,
+    sqrt_irrep_weights,
 )
 
 
@@ -124,6 +125,14 @@ def _char4_gram(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return 2.0 / len(phi) * gram[left_of, right_of].reshape(t.shape[1:])
 
 
+def _char_values(poly: tuple[np.ndarray, np.ndarray], phi: np.ndarray) -> np.ndarray:
+    """Values of sum_j alpha_j chi_j, poly = (doubled labels, alpha), on class
+    angles phi in (0, pi); the phi = 0, pi poles are excluded."""
+    twice, alpha = poly
+    dims = (twice + 1).astype(float)
+    return (alpha[:, None] * np.sin(np.outer(dims, phi))).sum(axis=0) / np.sin(phi)
+
+
 def su2_nodes_required(n_copies: int, m_copies: int) -> int:
     """Node count covering the combined bandwidth of the entangled integrand."""
     return n_copies + m_copies + 2
@@ -136,7 +145,7 @@ def su2_quadrature_fidelity_ent(
     state.check("entangled", m_copies)
     _check_nodes(nodes, su2_nodes_required(n_copies, m_copies))
     phi = _class_angles(nodes)
-    seed = seed_char_polynomial(n_copies).evaluate(phi)
-    prep = prepared_char_polynomial(state).evaluate(phi)
+    seed = _char_values(sqrt_irrep_weights(n_copies), phi)
+    prep = _char_values(prepared_char_polynomial(state), phi)
     integrand = seed**2 * prep**2 * np.sin(phi) ** 2
     return float(2.0 / nodes * np.sum(integrand))

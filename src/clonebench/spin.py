@@ -121,15 +121,13 @@ class IrrepBlock:
     """One total-spin sector of the N-fold tensor power, j = twice_j / 2."""
 
     twice_j: int
-    dim_rep: int
     multiplicity: int
     weight: float
 
-    def __post_init__(self):
-        if self.dim_rep != self.twice_j + 1:
-            raise DomainError("dim_rep must equal 2j+1")
-        if self.multiplicity < 1:
-            raise DomainError("multiplicity must be positive")
+    @property
+    def dim_rep(self) -> int:
+        """Dimension 2j + 1 of the spin-j irrep."""
+        return self.twice_j + 1
 
 
 def irrep_spectrum(n_copies: int) -> list[IrrepBlock]:
@@ -137,16 +135,8 @@ def irrep_spectrum(n_copies: int) -> list[IrrepBlock]:
     blocks = []
     for t in total_spin_twice(n_copies):
         t = int(t)
-        d = t + 1
         m = multiplicity(n_copies, t / 2)
-        blocks.append(
-            IrrepBlock(
-                twice_j=t,
-                dim_rep=d,
-                multiplicity=m,
-                weight=d * m / 2**n_copies,
-            )
-        )
+        blocks.append(IrrepBlock(twice_j=t, multiplicity=m, weight=(t + 1) * m / 2**n_copies))
     return blocks
 
 
@@ -193,16 +183,20 @@ class PreparedState:
         if self.family not in _FLOOR_PER_COPY:
             raise DomainError(f"unknown prepared-state family {self.family!r}")
         _check_copies(self.M)
-        twice = np.asarray(self.twice, dtype=np.int64)
+        labels = np.asarray(self.twice)
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
+            twice = labels.astype(np.int64, copy=False)
         p = np.asarray(self.p, dtype=float)
         if twice.shape != p.shape or twice.ndim != 1 or len(twice) == 0:
             raise DomainError("support and weights must be matching 1-d arrays")
+        if not np.array_equal(twice, labels):
+            raise DomainError("support labels must be integers (doubled spins)")
         if np.any((twice - self.M) % 2 != 0):
             raise DomainError("support is off the parity lattice of M copies")
         floor = _FLOOR_PER_COPY[self.family] * self.M
         if np.any(twice < floor) or np.any(twice > self.M):
             raise DomainError(f"support exceeds the {self.family} lattice of M copies")
-        if np.any(p < 0):
+        if not np.all(p >= 0):  # NaN fails too
             raise DomainError("prepared-state weights must be nonnegative")
         order = np.argsort(twice)
         twice, p = twice[order], p[order]
@@ -212,17 +206,10 @@ class PreparedState:
         dense = np.zeros(len(full))
         dense[(twice - twice[0]) // 2] = p
         total = float(np.sum(dense))
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:
             raise DomainError(f"prepared-state weights sum to {total}, not 1")
         self.twice = full
         self.p = dense
-
-    def __getitem__(self, n: float) -> float:
-        t = _doubled(n)
-        off = t - int(self.twice[0])
-        if off % 2 != 0 or off < 0 or off // 2 >= len(self.twice):
-            return 0.0
-        return float(self.p[off // 2])
 
     def check(self, family: str, m_copies: int) -> None:
         """Reject use by another family's evaluator or at another copy number."""

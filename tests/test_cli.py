@@ -3,8 +3,9 @@ import warnings
 
 import pytest
 
-from clonebench import QuadratureWarning, cli, parse_report, quadrature
+from clonebench import QuadratureWarning, cli, quadrature
 from clonebench.cli import main
+from clonebench.report import parse_report
 
 
 class TestScalarCommands:

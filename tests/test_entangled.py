@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 from clonebench import (
     DomainError,
     PreparedState,
-    avg_state_expectation_ent,
-    central_binomial_weight,
     cg_overlap_count,
     eco_clone_fidelity_exact,
     eco_clone_fidelity_large_m,
     eco_clone_fidelity_large_n,
     mp_fidelity_exact_ent,
-    p_true_ent,
     prepared_state_ansatz,
     prepared_state_ansatz_ent,
 )
-from clonebench.entangled import prepared_char_polynomial, seed_char_polynomial
-from clonebench.spin import sqrt_irrep_weights
-from _oracles import eco_clone_fidelity_oracle, mp_fidelity_ent_oracle
+from clonebench.entangled import p_true_ent, prepared_char_polynomial
+from clonebench.quadrature import _char_values
+from clonebench.spin import central_binomial_weight, sqrt_irrep_weights
+from _oracles import eco_clone_fidelity_oracle, frac_irrep_weight, mp_fidelity_ent_oracle
 
 
 class TestEcoCloneFidelityExact:
@@ -218,25 +216,6 @@ class TestMpFidelityExactEnt:
             mp_fidelity_exact_ent(2, 4, prepared_state_ansatz(4, 1.0))
 
 
-class TestAvgStateExpectationEnt:
-    def test_two_copy_naive(self):
-        state = prepared_state_ansatz_ent(2, 1.0)
-        assert avg_state_expectation_ent(2, state) == pytest.approx(1 / 8, abs=1e-14)
-
-    def test_wide_ansatz_matches_prefactor(self):
-        state = prepared_state_ansatz_ent(2048, 64.0)
-        value = avg_state_expectation_ent(2048, state)
-        assert value == pytest.approx(2 * central_binomial_weight(2048) / 2048, rel=0.05)
-
-    def test_point_mass_at_j_min(self):
-        state = PreparedState("entangled", M=6, twice=np.array([0]), p=np.array([1.0]))
-        from _oracles import frac_irrep_weight
-
-        assert avg_state_expectation_ent(6, state) == pytest.approx(
-            float(frac_irrep_weight(6, 0)), rel=1e-12
-        )
-
-
 class TestPTrueEnt:
     def test_single_copy(self):
         assert p_true_ent(1) == pytest.approx(4.0, abs=1e-12)
@@ -253,14 +232,16 @@ class TestCharPolynomials:
     def test_seed_matches_block_weights_at_identity_limit(self):
         # chi_j(phi) -> d_j as phi -> 0, so the seed polynomial tends to p_true^(1/2)
         phi = np.array([1e-6])
-        value = seed_char_polynomial(4).evaluate(phi)[0]
+        value = _char_values(sqrt_irrep_weights(4), phi)[0]
         assert value == pytest.approx(math.sqrt(p_true_ent(4)), rel=1e-6)
 
     def test_prepared_polynomial_normalization(self):
-        # the Haar average of |prepared|^2 equals the average-state expectation
+        # the Haar average of |prepared|^2 is the average-state expectation sum_j p_j c_j / d_j^2
         state = prepared_state_ansatz_ent(6, 2.0)
         poly = prepared_char_polynomial(state)
         nodes = 64
         phi = (np.arange(nodes) + 0.5) * math.pi / nodes
-        integral = 2.0 / nodes * float(np.sum(poly.evaluate(phi) ** 2 * np.sin(phi) ** 2))
-        assert integral == pytest.approx(avg_state_expectation_ent(6, state), abs=1e-12)
+        integral = 2.0 / nodes * float(np.sum(_char_values(poly, phi) ** 2 * np.sin(phi) ** 2))
+        expected = sum(p * float(frac_irrep_weight(6, int(t))) / (t + 1) ** 2
+                       for t, p in zip(state.twice, state.p))
+        assert integral == pytest.approx(expected, abs=1e-12)

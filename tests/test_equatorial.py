@@ -6,15 +6,9 @@ import pytest
 from clonebench import (
     DomainError,
     PreparedState,
-    ansatz_cutoff,
-    avg_state_expectation,
-    central_binomial_weight,
     clone_fidelity_exact,
-    clone_fidelity_large_m,
     clone_fidelity_large_n,
     mp_fidelity_exact,
-    outcome_density_fourier,
-    p_true,
     phase_quadrature_fidelity,
     phase_nodes_required,
     prepared_state_ansatz,
@@ -22,7 +16,13 @@ from clonebench import (
     sqrt_binomial_second_moment,
     sqrt_binomial_sum,
 )
-from clonebench.spin import sqrt_binomial_weights
+from clonebench.equatorial import (
+    ansatz_cutoff,
+    clone_fidelity_large_m,
+    outcome_density_fourier,
+    p_true,
+)
+from clonebench.spin import central_binomial_weight, sqrt_binomial_weights
 from _oracles import clone_fidelity_oracle, p_true_oracle
 
 
@@ -162,11 +162,11 @@ class TestPreparedStateQubit:
     def test_sparse_support_embedded_densely(self):
         state = PreparedState("qubit", M=4, twice=np.array([-4, 4]), p=np.array([0.5, 0.5]))
         assert list(state.twice) == [-4, -2, 0, 2, 4]
-        assert state[1] == 0.0 and state[-2] == 0.5
+        assert list(state.p) == [0.5, 0.0, 0.0, 0.0, 0.5]
 
     def test_point_mass(self):
         state = PreparedState("qubit", M=8, twice=np.array([0]), p=np.array([1.0]))
-        assert state[0] == 1.0
+        assert list(state.twice) == [0] and list(state.p) == [1.0]
 
     def test_mismatched_parity_rejected(self):
         with pytest.raises(DomainError):
@@ -220,23 +220,6 @@ class TestMpFidelityExact:
     def test_entangled_state_rejected(self):
         with pytest.raises(DomainError):
             mp_fidelity_exact(2, 4, prepared_state_ansatz_ent(4, 1.0))
-
-
-class TestAvgStateExpectation:
-    def test_two_copy_naive(self):
-        state = prepared_state_ansatz(2, 1.0)
-        assert avg_state_expectation(2, state) == pytest.approx(3 / 8, abs=1e-14)
-
-    def test_point_mass_reads_central_weight(self):
-        state = PreparedState("qubit", M=10, twice=np.array([0]), p=np.array([1.0]))
-        assert avg_state_expectation(10, state) == pytest.approx(
-            central_binomial_weight(10), rel=1e-12
-        )
-
-    def test_wide_ansatz_approaches_central_weight(self):
-        state = prepared_state_ansatz(4096, 64.0)
-        value = avg_state_expectation(4096, state)
-        assert value == pytest.approx(central_binomial_weight(4096), rel=0.02)
 
 
 class TestPTrue:

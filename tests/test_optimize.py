@@ -15,10 +15,10 @@ from clonebench import (
     lambda_sweep,
     mp_fidelity_exact,
     optimal_prepared_state,
-    outcome_density_fourier,
     prepared_state_ansatz,
     relative_gap,
 )
+from clonebench.equatorial import outcome_density_fourier
 from clonebench.spin import sqrt_binomial_weights
 
 

@@ -5,18 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from clonebench import (
-    DomainError,
+from clonebench import DomainError, appendix_check, entangled
+from clonebench.report import (
+    CSV_COLUMNS,
     SweepConfig,
     SweepReport,
     SweepRow,
-    appendix_check,
     parse_report,
     run_sweep,
+    serialize_appendix,
     serialize_report,
 )
-from clonebench import entangled
-from clonebench.report import CSV_COLUMNS, serialize_appendix
 
 
 def _strip_timing(rows):

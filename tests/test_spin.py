@@ -4,18 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clonebench import (
-    DomainError,
-    IrrepBlock,
-    PreparedState,
-    binomial_weight,
-    central_binomial_weight,
-    irrep_spectrum,
-    multiplicity,
-)
+from clonebench import DomainError, PreparedState, irrep_spectrum
 from clonebench.spin import (
     _doubled,
+    binomial_weight,
+    central_binomial_weight,
     dicke_twice,
+    multiplicity,
     sqrt_binomial_weights,
     sqrt_irrep_weights,
     total_spin_twice,
@@ -126,10 +121,6 @@ class TestIrrepSpectrum:
             assert direct.denominator == 1
             assert multiplicity(n_copies, t / 2) == direct == exact_multiplicity(n_copies, t)
 
-    def test_irrep_block_validates_dimension(self):
-        with pytest.raises(DomainError):
-            IrrepBlock(twice_j=2, dim_rep=2, multiplicity=1, weight=0.5)
-
 
 class TestSqrtWeights:
     def test_binomial_normalization(self):
@@ -164,7 +155,7 @@ class TestPreparedState:
     def test_lattice_floor_follows_family(self):
         # m = -1 is a Dicke projection of 2 copies; j = -1 is no total spin
         state = PreparedState("qubit", M=2, twice=np.array([-2]), p=np.array([1.0]))
-        assert state[-1] == 1.0
+        assert list(state.twice) == [-2] and list(state.p) == [1.0]
         with pytest.raises(DomainError):
             PreparedState("entangled", M=2, twice=np.array([-2]), p=np.array([1.0]))
 
@@ -172,14 +163,18 @@ class TestPreparedState:
         state = PreparedState("entangled", M=5, twice=np.array([5, 1]),
                               p=np.array([0.25, 0.75]))
         assert list(state.twice) == [1, 3, 5]
-        assert state[0.5] == 0.75 and state[1.5] == 0.0 and state[2.5] == 0.25
+        assert list(state.p) == [0.75, 0.0, 0.25]
 
     @pytest.mark.parametrize("twice, p", [
         ([0, 0], [0.5, 0.5]),
         ([0, 2], [1.5, -0.5]),
         ([0, 6], [0.5, 0.5]),
         ([1], [1.0]),
-    ], ids=["duplicate-point", "negative-weight", "beyond-half-M", "off-parity"])
+        ([0], [math.nan]),
+        ([0.7, 2], [0.5, 0.5]),
+        ([math.nan], [1.0]),
+    ], ids=["duplicate-point", "negative-weight", "beyond-half-M", "off-parity", "nan-weight",
+            "non-integer-label", "nan-label"])
     def test_rejections_shared_by_both_families(self, twice, p):
         for family in ("qubit", "entangled"):
             with pytest.raises(DomainError):
