@@ -34,7 +34,6 @@ from .optimize import (
     default_lambda_grid,
     lambda_sweep,
     optimal_prepared_state,
-    relative_gap,
 )
 from .quadrature import (
     QuadratureWarning,
@@ -44,7 +43,7 @@ from .quadrature import (
     su2_quadrature_fidelity_ent,
     weyl_quadrature_char4,
 )
-from .report import appendix_check
+from .report import appendix_check, relative_gap
 
 __all__ = [
     "ConvergenceError",
@@ -67,7 +66,6 @@ __all__ = [
     "default_lambda_grid",
     "lambda_sweep",
     "optimal_prepared_state",
-    "relative_gap",
     "QuadratureWarning",
     "phase_nodes_required",
     "phase_quadrature_fidelity",
@@ -75,4 +73,5 @@ __all__ = [
     "su2_quadrature_fidelity_ent",
     "weyl_quadrature_char4",
     "appendix_check",
+    "relative_gap",
 ]

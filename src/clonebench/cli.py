@@ -11,6 +11,7 @@ import logging
 import random
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -163,12 +164,20 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
 def _cmd_oracle_check(args) -> int:
     tol_qubit, tol_ent = (1e-10, 1e-9) if args.tol is None else (args.tol, args.tol)
     status = 0
-    for name, worst, tol in _oracle_lines(args.nodes, tol_qubit, tol_ent):
-        ok = worst <= tol
-        print(f"{name}: max |closed-form - quadrature| = {worst:.3e} "
-              f"(tol {tol:.0e}) -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            status = 2
+    # Each stage's warnings (below-threshold quadratures) make one stderr line, not one each.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", quadrature.QuadratureWarning)
+        for name, worst, tol in _oracle_lines(args.nodes, tol_qubit, tol_ent):
+            ok = worst <= tol
+            print(f"{name}: max |closed-form - quadrature| = {worst:.3e} "
+                  f"(tol {tol:.0e}) -> {'PASS' if ok else 'FAIL'}")
+            if caught:
+                first = caught[0]
+                sys.stderr.write(f"warning: {name}: {first.category.__name__}: {first.message} "
+                                 f"({len(caught)} in this stage)\n")
+                caught.clear()
+            if not ok:
+                status = 2
     return status
 
 

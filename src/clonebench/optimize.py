@@ -1,4 +1,4 @@
-"""Optimal re-prepared states and cloner/measure-and-prepare gap computation.
+"""Family registry, optimal re-prepared states and the lambda sweep.
 
 For the qubit family, the measure-and-prepare fidelity is the quadratic form
 q^T A q in q_m = sqrt(p_m) with the banded nonnegative kernel
@@ -14,11 +14,11 @@ eigenvalue by less than ~2e-17 relative; see build_quadratic_form.  Its
 Perron pair comes from Lanczos with full reorthogonalization, stopped when
 the measured residual ||A q - rho q|| is at most tol * rho.
 
-Which evaluators make up a family is decided here, by the FAMILIES registry.
-The entangled family has no kernel and is handled by the cutoff-ansatz sweep
-only; wiring the analogous character-integral kernel into the same
-eigenproblem is a straightforward extension point but is deliberately not
-part of this module.
+Which evaluators make up a family is decided here, by the FAMILIES registry;
+report.relative_gap combines them into one sweep row.  The entangled family
+has no kernel and is handled by the cutoff-ansatz sweep only; wiring the
+analogous character-integral kernel into the same eigenproblem is a
+straightforward extension point but is deliberately not part of this module.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ FAMILIES: dict[str, Family] = {
 _WINDOW_FLOOR = 1e-17
 # Lanczos steps between two eigen-solves of the tridiagonal projection.
 _CHECK_EVERY = 8
+# Most Lanczos steps, and so most window vectors held, in one solve.
+_MAX_STEPS = 300
 
 
 @dataclass
@@ -136,15 +138,13 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     )
 
 
-def optimal_prepared_state(
-    form: QuadraticForm, tol: float = 1e-13, max_iter: int = 300
-) -> tuple[float, PreparedState]:
+def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[float, PreparedState]:
     """Dominant eigenpair of the fidelity kernel by Lanczos with full
     reorthogonalization.
 
     The Krylov basis starts from sqrt(b), a positive vector graded like the
-    Perron vector, and grows by at most `max_iter` steps (so at most
-    `max_iter` window vectors are held).  Every few steps the tridiagonal
+    Perron vector, and grows by at most _MAX_STEPS = 300 steps (so at most
+    that many window vectors are held).  Every few steps the tridiagonal
     projection is solved with np.linalg.eigh; once the Ritz estimate allows
     it, the residual ||A q - rho q|| of the Ritz vector q (made positive and
     normalized) is measured with a matvec, and the solve stops when it is at
@@ -154,14 +154,14 @@ def optimal_prepared_state(
     fidelity rho is the Rayleigh quotient of the returned state, so
     replaying the state through the exact evaluator reproduces it.  The
     state's weights sit on the kernel's window of the M-lattice.
-    ConvergenceError is raised when `max_iter` steps, or the whole Krylov
+    ConvergenceError is raised when _MAX_STEPS steps, or the whole Krylov
     space, do not meet `tol`; a negative or NaN `tol` can never be met and
     raises at once.
     """
     if not tol >= 0:
         raise ConvergenceError(f"tolerance {tol} can never be met", math.nan, 0)
     dim = form.dimension
-    steps = min(max_iter, dim)
+    steps = min(_MAX_STEPS, dim)
     # Rows are written as the basis grows; untouched rows cost no memory.
     basis = np.empty((steps + 1, dim))
     alpha = np.zeros(steps)
@@ -224,25 +224,8 @@ def lambda_sweep(
     for lam in lambdas:
         state = evaluators.ansatz(m_copies, lam)
         rows.append((lam, evaluators.mp_fidelity(n_copies, m_copies, state)))
-    best_lambda, best_fidelity = rows[0]
-    for lam, fidelity in rows[1:]:
-        if fidelity > best_fidelity:
-            best_lambda, best_fidelity = lam, fidelity
+    best_lambda, best_fidelity = max(rows, key=lambda row: row[1])  # first of equal maxima
     return LambdaSweepResult(tuple(rows), best_lambda, best_fidelity)
-
-
-@dataclass(frozen=True)
-class GapRow:
-    """Relative shortfall of measure-and-prepare versus the optimal cloner, with
-    the ansatz sweep and the kernel eigenvalue (None without a kernel) behind it."""
-
-    n_copies: int
-    m_copies: int
-    f_clon: float
-    f_est_proxy: float
-    delta: float
-    sweep: LambdaSweepResult
-    f_eig: float | None
 
 
 def default_lambda_grid(m_copies: int) -> tuple[float, ...]:
@@ -253,36 +236,3 @@ def default_lambda_grid(m_copies: int) -> tuple[float, ...]:
         grid.append(float(lam))
         lam *= 2
     return tuple(grid)
-
-
-def relative_gap(
-    n_copies: int,
-    m_copies: int,
-    family: str = "qubit",
-    lambdas=None,
-) -> GapRow:
-    """Relative gap (F_clon - F_est_proxy) / F_clon.
-
-    F_est_proxy is the best swept ansatz fidelity, and for the qubit family
-    also the kernel eigenvalue; both are achievable measure-and-prepare
-    fidelities, so the proxy is a lower bound on the true optimum.
-    """
-    evaluators = Family.named(family)
-    if lambdas is None:
-        lambdas = default_lambda_grid(m_copies)
-    sweep = lambda_sweep(n_copies, m_copies, lambdas, family=family)
-    f_clon = evaluators.clone_fidelity(n_copies, m_copies)
-    f_eig = None
-    f_est = sweep.best_fidelity
-    if evaluators.has_kernel:
-        f_eig, _ = optimal_prepared_state(build_quadratic_form(n_copies, m_copies))
-        f_est = max(f_est, f_eig)
-    return GapRow(
-        n_copies=n_copies,
-        m_copies=m_copies,
-        f_clon=f_clon,
-        f_est_proxy=f_est,
-        delta=(f_clon - f_est) / f_clon,
-        sweep=sweep,
-        f_eig=f_eig,
-    )

@@ -198,17 +198,15 @@ class PreparedState:
             raise DomainError(f"support exceeds the {self.family} lattice of M copies")
         if not np.all(p >= 0):  # NaN fails too
             raise DomainError("prepared-state weights must be nonnegative")
-        order = np.argsort(twice)
-        twice, p = twice[order], p[order]
-        if np.any(np.diff(twice) == 0):
+        low = twice.min()
+        index = (twice - low) // 2  # position on the dense stretch, in any label order
+        if np.bincount(index).max() > 1:
             raise DomainError("duplicate support points")
-        full = np.arange(twice[0], twice[-1] + 1, 2, dtype=np.int64)
-        dense = np.zeros(len(full))
-        dense[(twice - twice[0]) // 2] = p
+        dense = np.bincount(index, weights=p)
         total = float(np.sum(dense))
         if not abs(total - 1.0) <= _NORM_TOL:
             raise DomainError(f"prepared-state weights sum to {total}, not 1")
-        self.twice = full
+        self.twice = np.arange(low, low + 2 * len(dense), 2, dtype=np.int64)
         self.p = dense
 
     def check(self, family: str, m_copies: int) -> None:

@@ -177,9 +177,10 @@ class TestOracleCheck:
         assert main(["oracle-check", "--nodes", "0"]) == 1
 
     def test_nodes_override_applies_to_every_stage(self, capsys):
-        with pytest.warns(QuadratureWarning):
-            assert main(["oracle-check", "--nodes", "40"]) == 2
-        lines = capsys.readouterr().out.splitlines()
+        assert main(["oracle-check", "--nodes", "40"]) == 2
+        out, err = capsys.readouterr()
+        assert "QuadratureWarning: 40 nodes is below the exactness threshold" in err
+        lines = out.splitlines()
         assert len(lines) == 3
         assert lines[0] == ("phase-circle: max |closed-form - quadrature| = 7.432e-04 "
                             "(tol 1e-10) -> FAIL")
@@ -188,6 +189,17 @@ class TestOracleCheck:
         assert name == "character-integral: max |closed-form - quadrature|"
         assert float(gap) < 1e-13
         assert lines[2].endswith("(tol 1e-09) -> PASS")
+
+    @pytest.mark.parametrize("argv, flagged", [
+        ([], []),
+        (["--nodes", "40"], ["phase-circle", "character-integral"]),
+        (["--nodes", "1001"], []),
+    ])
+    def test_at_most_one_warning_line_per_stage(self, capsys, argv, flagged):
+        main(["oracle-check", *argv])
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == flagged
+        assert all(line.startswith("warning: ") for line in lines)
 
     @pytest.mark.parametrize("nodes, calls", [(None, 49), (40, 1)])
     def test_one_char4_call_per_node_count(self, monkeypatch, nodes, calls):

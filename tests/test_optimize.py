@@ -107,10 +107,12 @@ class TestOptimalPreparedState:
         assert fidelity <= clone_fidelity_exact(2, 64) + 1e-12
 
     def test_iteration_budget_exhaustion(self):
+        # Krylov exhaustion and the step budget are one branch of the solver.
+        form = build_quadratic_form(2, 64)
         with pytest.raises(ConvergenceError) as info:
-            optimal_prepared_state(build_quadratic_form(2, 64), tol=0.0, max_iter=2)
+            optimal_prepared_state(form, tol=0.0)
         assert info.value.residual >= 0.0
-        assert info.value.iterations == 2
+        assert 1 <= info.value.iterations <= form.dimension
 
     @pytest.mark.parametrize("pair", [(1, 100001), (4, 100000)])
     def test_residual_on_full_lattice(self, pair):
@@ -195,7 +197,9 @@ class TestRelativeGap:
     def test_qubit_gap_uses_eigen_bound(self):
         gap = relative_gap(2, 64, "qubit")
         eigen, _ = optimal_prepared_state(build_quadratic_form(2, 64))
-        assert gap.f_est_proxy == pytest.approx(eigen, abs=1e-12)
+        assert gap.f_eig == pytest.approx(eigen, abs=1e-12)
+        assert gap.f_eig >= gap.f_mp
+        assert gap.delta == (gap.f_clon - gap.f_eig) / gap.f_clon
 
     def test_qubit_gap_closes_with_m(self):
         deltas = [
@@ -210,7 +214,7 @@ class TestRelativeGap:
         assert gap.delta <= 0.10
         assert 0.0 <= gap.delta <= 1.0
         assert gap.f_eig is None
-        assert gap.f_est_proxy == gap.sweep.best_fidelity
+        assert gap.delta == (gap.f_clon - gap.f_mp) / gap.f_clon
 
 
 class TestDominanceChain:

@@ -12,6 +12,7 @@ from clonebench.report import (
     SweepReport,
     SweepRow,
     parse_report,
+    relative_gap,
     run_sweep,
     serialize_appendix,
     serialize_report,
@@ -106,6 +107,20 @@ class TestRunSweep:
         calls.clear()
         run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(4.0,)))
         assert len(calls) == 2  # without lambda = 1 in the grid, one extra naive call
+
+    @pytest.mark.parametrize("family", ["qubit", "entangled"])
+    @pytest.mark.parametrize("rule", [
+        {"lambda_grid": (1.0, 4.0)},
+        {"lambda_grid": (2.0, 8.0)},
+        {"lambda_exponent": 0.5},
+    ], ids=["grid-with-1", "grid-without-1", "exponent"])
+    def test_library_row_is_the_printed_row(self, family, rule):
+        config = SweepConfig(family, (1, 2), (2, 3, 16, 64), **rule)
+        rows = run_sweep(config).rows
+        assert len(rows) == 4
+        library = [relative_gap(row.n_copies, row.m_copies, family,
+                                config.lambdas_for(row.m_copies)) for row in rows]
+        assert _strip_timing(library) == _strip_timing(rows)
 
     def test_deterministic_up_to_timing(self):
         config = SweepConfig("qubit", (1, 2), (2, 4, 8), lambda_grid=(1.0, 2.0))
