@@ -161,7 +161,15 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
     yield "character-integral", worst_cg, tol_ent
 
 
+# Every default case is exact at or below 525 nodes (phase-circle, 2(6 + 256) + 1);
+# more check nothing and cost time that grows with the count.
+_MAX_NODES = 100_000
+
+
 def _cmd_oracle_check(args) -> int:
+    if args.nodes is not None and args.nodes > _MAX_NODES:
+        raise DomainError(f"--nodes must be at most {_MAX_NODES}, got {args.nodes}; "
+                          "every default case is exact at or below 525 nodes")
     tol_qubit, tol_ent = (1e-10, 1e-9) if args.tol is None else (args.tol, args.tol)
     status = 0
     # Each stage's warnings (below-threshold quadratures) make one stderr line, not one each.

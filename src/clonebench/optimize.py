@@ -16,9 +16,7 @@ the measured residual ||A q - rho q|| is at most tol * rho.
 
 Which evaluators make up a family is decided here, by the FAMILIES registry;
 report.relative_gap combines them into one sweep row.  The entangled family
-has no kernel and is handled by the cutoff-ansatz sweep only; wiring the
-analogous character-integral kernel into the same eigenproblem is a
-straightforward extension point but is deliberately not part of this module.
+has no kernel yet, so its rows come from the cutoff-ansatz sweep only.
 """
 
 from __future__ import annotations

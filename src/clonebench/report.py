@@ -241,40 +241,28 @@ def _json_value(value):
     return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
-def _csv_text(header, records) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(value) for value in record] for record in records)
-    return buffer.getvalue()
-
-
-def _csv_rows(rows, columns) -> str:
-    return _csv_text(
-        [column.name for column in columns],
-        ([getattr(row, column.field) for column in columns] for row in rows),
-    )
-
-
-def _json_rows(rows, columns) -> list[dict]:
-    return [
-        {column.name: _json_value(getattr(row, column.field)) for column in columns}
-        for row in rows
-    ]
+def _table(header, records, output_format: str, meta: dict | None = None) -> str:
+    """The one report writer: for CSV the header line and one line per record,
+    for JSON one object per record, listed under "rows" after the `meta` keys
+    when `meta` is given."""
+    if output_format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in record] for record in records)
+        return buffer.getvalue()
+    if output_format == "json":
+        items = [{name: _json_value(value) for name, value in zip(header, record)}
+                 for record in records]
+        return json.dumps(items if meta is None else {**meta, "rows": items}, indent=2) + "\n"
+    raise DomainError(f"unknown output format {output_format!r}")
 
 
 def serialize_report(report: SweepReport, output_format: str) -> str:
     """CSV (fixed 11-column header) or JSON (with version/config metadata)."""
-    if output_format == "csv":
-        return _csv_rows(report.rows, SWEEP_COLUMNS)
-    if output_format == "json":
-        payload = {
-            "version": report.version,
-            "config_hash": report.config_hash,
-            "rows": _json_rows(report.rows, SWEEP_COLUMNS),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise DomainError(f"unknown output format {output_format!r}")
+    records = ([getattr(row, column.field) for column in SWEEP_COLUMNS] for row in report.rows)
+    meta = {"version": report.version, "config_hash": report.config_hash}
+    return _table([column.name for column in SWEEP_COLUMNS], records, output_format, meta)
 
 
 def parse_report(text: str, output_format: str) -> SweepReport:
@@ -306,22 +294,17 @@ def parse_report(text: str, output_format: str) -> SweepReport:
 
 
 def serialize_appendix(rows: list[AppendixRow], output_format: str) -> str:
-    if output_format == "csv":
-        return _csv_rows(rows, APPENDIX_COLUMNS)
-    if output_format == "json":
-        return json.dumps(_json_rows(rows, APPENDIX_COLUMNS), indent=2) + "\n"
-    raise DomainError(f"unknown output format {output_format!r}")
+    records = ([getattr(row, column.field) for column in APPENDIX_COLUMNS] for row in rows)
+    return _table([column.name for column in APPENDIX_COLUMNS], records, output_format)
 
 
 def serialize_scalar(payload: dict, output_format: str) -> str:
     """One scalar command's result: `key=value` pairs (plain), a header and a
     value row (CSV), or a JSON object; floats carry 12 significant digits in
     every format."""
+    if output_format == "plain":
+        return ", ".join(f"{key}={_fmt(value)}" for key, value in payload.items()) + "\n"
     if output_format == "json":
         return json.dumps({key: _json_value(value) for key, value in payload.items()},
                           indent=2) + "\n"
-    if output_format == "csv":
-        return _csv_text(payload.keys(), [payload.values()])
-    if output_format == "plain":
-        return ", ".join(f"{key}={_fmt(value)}" for key, value in payload.items()) + "\n"
-    raise DomainError(f"unknown output format {output_format!r}")
+    return _table(payload.keys(), [payload.values()], output_format)

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -175,6 +176,14 @@ class TestOracleCheck:
     def test_oracle_check_rejects_degenerate_nodes(self, capsys):
         assert main(["oracle-check", "--nodes", "2"]) == 1
         assert main(["oracle-check", "--nodes", "0"]) == 1
+
+    def test_node_count_is_bounded(self, capsys):
+        start = time.perf_counter()
+        assert main(["oracle-check", "--nodes", "100001"]) == 1
+        assert time.perf_counter() - start < 0.1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: --nodes must be at most 100000") and "525" in err
 
     def test_nodes_override_applies_to_every_stage(self, capsys):
         assert main(["oracle-check", "--nodes", "40"]) == 2

@@ -16,6 +16,7 @@ from clonebench.report import (
     run_sweep,
     serialize_appendix,
     serialize_report,
+    serialize_scalar,
 )
 
 
@@ -199,9 +200,14 @@ class TestSerialization:
         with pytest.raises(DomainError, match="unexpected CSV header"):
             parse_report(text, "csv")
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(DomainError):
-            serialize_report(SweepReport(), "xml")
+    @pytest.mark.parametrize("serialize, payload", [
+        (serialize_report, SweepReport()),
+        (serialize_appendix, []),
+        (serialize_scalar, {"N": 1}),
+    ], ids=["report", "appendix", "scalar"])
+    def test_unknown_format_rejected(self, serialize, payload):
+        with pytest.raises(DomainError, match="unknown output format 'xml'"):
+            serialize(payload, "xml")
 
 
 class TestAppendixCheck:
