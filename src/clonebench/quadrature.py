@@ -25,7 +25,10 @@ from .spin import (
 )
 
 
-_CHUNK = 1024  # nodes per block of the char4 Gram loop
+_CHUNK = 1024  # nodes per block of the char4 pair loop
+# Above this many products per chunk, the pair loop runs one product per left pair
+# rather than gathering both sides into copies (4 MB each at the bound).
+_GATHER_MAX = 2**19
 
 
 class QuadratureWarning(UserWarning):
@@ -92,8 +95,8 @@ def weyl_quadrature_char4(j1, j2, j3, j4, nodes: int):
     _check_nodes(nodes, 2 * int(t.sum(axis=0).max(initial=0)) + 8)
     phi = _class_angles(nodes)
     if t.ndim > 1:
-        return _char4_gram(t, phi)
-    # One quadruple: a product of four node vectors, ~2.5x cheaper than a 1 x 1 Gram.
+        return _char4_sums(t, phi)
+    # One quadruple: a product of four node vectors, cheaper than the pair tables.
     sin_phi = np.sin(phi)
     product = np.ones_like(phi)
     for ti in t:
@@ -101,28 +104,44 @@ def weyl_quadrature_char4(j1, j2, j3, j4, nodes: int):
     return float(2.0 / nodes * np.sum(product * sin_phi**2))
 
 
-def _char4_gram(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _char4_sums(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The char4 quadrature for a (4, ...) array of doubled labels on nodes phi.
 
-    A quadruple's sum is the dot product of the node vectors chi_{t1} chi_{t2}
-    and chi_{t3} chi_{t4} sin^2, so every quadruple is read from one Gram
-    matrix over the distinct (t1, t2) and (t3, t4) pairs.  The node axis is
-    chunked, so memory is O(pairs x chunk) for any node count.
+    The integrand is symmetric in its four labels, so each quadruple is sorted
+    and summed once per distinct multiset {a <= b <= c <= d}: as the dot
+    product of the node vectors chi_a chi_b and chi_c chi_d sin^2 over the
+    distinct pairs.  The dot products are np.einsum loops, not BLAS, so the
+    digits do not depend on the BLAS library or its thread count.  The node
+    axis is chunked, so memory stays bounded for any node count.
     """
-    labels, row = np.unique(t, return_inverse=True)
-    row = row.reshape(4, -1)
+    labels, rank = np.unique(t, return_inverse=True)
+    rank = rank.reshape(4, -1)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # a sorting network
+        rank[i], rank[j] = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
     width = len(labels)
-    left, left_of = np.unique(row[0] * width + row[1], return_inverse=True)
-    right, right_of = np.unique(row[2] * width + row[3], return_inverse=True)
-    gram = np.zeros((len(left), len(right)))
+    count = rank.shape[1]
+    pairs, pair_of = np.unique(
+        np.concatenate((rank[0] * width + rank[1], rank[2] * width + rank[3])),
+        return_inverse=True,
+    )
+    # Ordered by left pair, so each left pair's quadruples form one slice.
+    quads, quad_of = np.unique(pair_of[:count] * len(pairs) + pair_of[count:],
+                               return_inverse=True)
+    left, right = np.divmod(quads, len(pairs))
+    slices = np.flatnonzero(np.diff(left, prepend=-1, append=len(pairs)))
+    sums = np.zeros(len(quads))
     for start in range(0, len(phi), _CHUNK):
         block = phi[start : start + _CHUNK]
         sin_phi = np.sin(block)
         chi = np.sin(np.outer(labels + 1, block)) / sin_phi
-        pairs_left = chi[left // width] * chi[left % width]
-        pairs_right = chi[right // width] * chi[right % width] * sin_phi**2
-        gram += pairs_left @ pairs_right.T
-    return 2.0 / len(phi) * gram[left_of, right_of].reshape(t.shape[1:])
+        pair_values = chi[pairs // width] * chi[pairs % width]
+        weighted = pair_values * sin_phi**2
+        if len(quads) * len(block) <= _GATHER_MAX:  # few products: one call
+            sums += np.einsum("ij,ij->i", weighted[right], pair_values[left])
+            continue
+        for lo, hi in zip(slices[:-1], slices[1:]):  # many: one product per left pair
+            sums[lo:hi] += np.einsum("ij,j->i", weighted[right[lo:hi]], pair_values[left[lo]])
+    return 2.0 / len(phi) * sums[quad_of.reshape(-1)].reshape(t.shape[1:])
 
 
 def _char_values(poly: tuple[np.ndarray, np.ndarray], phi: np.ndarray) -> np.ndarray:

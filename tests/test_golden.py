@@ -4,13 +4,10 @@ Every invocation in golden_stdout.json is replayed through `cli.main` in
 process; only `wall_time_ms` is masked (see make_golden.mask).  The file is
 written by make_golden.py, and any edit to it is a change of the contract.
 
-The `oracle-check` gap digits (e.g. `2.945e-14` for the character-integral
-stage) are summation noise of the quadrature's Gram products, so they depend on
-the BLAS kernel and its thread count.  The file was written with the OpenBLAS
-default on two CPUs; with OPENBLAS_NUM_THREADS=1 the `--nodes 1001`
-character-integral gap reads 1.243e-14 instead of 1.227e-14, and every other
-line is unchanged.  Where such a line differs, the cause is the BLAS, not the
-program.
+The `oracle-check` gap digits (e.g. `2.867e-14` for the character-integral
+stage) are summation noise of the quadratures.  They are summed by numpy loops
+in a fixed order, not by BLAS, so the file is the same under any BLAS thread
+count (checked with OPENBLAS_NUM_THREADS=1 and the default on two CPUs).
 """
 
 import json

@@ -145,6 +145,16 @@ class TestWeylQuadratureArrays:
                                                int(group_nodes))
                 assert abs(value - scalar) <= 1e-14
 
+    # 619 multisets: 104 nodes take one gathered call, 1024 one call per left pair.
+    @pytest.mark.parametrize("nodes", [104, 1024])
+    def test_label_order_does_not_move_a_bit(self, nodes):
+        # Each quadruple is summed once per multiset of labels, in a fixed order,
+        # so every permutation of the labels gives the same double.
+        t = _grid()[:, ::37]
+        values = weyl_quadrature_char4(*t / 2, nodes)
+        for perm in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+            assert np.array_equal(weyl_quadrature_char4(*t[list(perm)] / 2, nodes), values)
+
     def test_keeps_the_label_shape(self):
         j = np.full((2, 3), 0.5)
         values = weyl_quadrature_char4(j, j, j, j, 40)
