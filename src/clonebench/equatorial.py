@@ -18,11 +18,17 @@ from .errors import DomainError
 from .spin import (
     PreparedState,
     _check_copies,
+    binomial_window,
     dicke_twice,
     log_binomial_weight,
     central_binomial_weight,
     sqrt_binomial_weights,
 )
+
+# Weights at most this fraction of the largest are left out of an ansatz
+# state's support: their square roots, 1e-17 of the largest, are below double
+# precision in every lag product.
+_WEIGHT_FLOOR = 1e-34
 
 
 def _check_amplification(n_copies: int, m_copies: int) -> None:
@@ -99,10 +105,13 @@ def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedState:
     """Prepared state with weights b_{K,m}, K = M/lambda rounded to the M-lattice.
 
     lambda = 1 reproduces M identical copies of the estimated state; larger
-    lambda narrows the support toward the central projection.
+    lambda narrows the support toward the central projection.  The support is
+    the window of spin.binomial_window(K, 1e-34), which holds every label with
+    b_{K,m} > 1e-34 max_m b_{K,m}, so what is left out moves the fidelity by
+    less than ~1e-17 relative.
     """
     k, _ = ansatz_cutoff(m_copies, lam)
-    twice = dicke_twice(k)
+    twice = binomial_window(k, _WEIGHT_FLOOR)
     p = np.exp(log_binomial_weight(k, twice))
     # gammaln sums drift by ~K*eps in the log; rescale so the weights sum to 1.
     return PreparedState("qubit", M=m_copies, twice=twice, p=p / np.sum(p))

@@ -10,9 +10,12 @@ F_naive <= F_lambda* <= lambda_max(A) <= F_clon for the best swept lambda*.
 
 The kernel is kept only on the window of labels whose sqrt-binomial weight
 exceeds 1e-17 of the largest (about 12.5 sqrt(M) labels), which moves the
-eigenvalue by less than ~2e-17 relative; see build_quadratic_form.  Its
-Perron pair comes from Lanczos with full reorthogonalization, stopped when
-the measured residual ||A q - rho q|| is at most tol * rho.
+eigenvalue by less than ~2e-17 relative; its weights are formed only on a
+closed-form superset of that window; see build_quadratic_form.  Its Perron
+pair comes from Lanczos with full reorthogonalization, started from the
+Gaussian that is the kernel's large-M Perron vector (width ~M^(1/4) labels,
+not the ~M^(1/2) of M identical copies) and stopped when the measured
+residual ||A q - rho q|| is at most tol * rho.
 
 Which evaluators make up a family is decided here, by the FAMILIES registry;
 report.relative_gap combines them into one sweep row.  The entangled family
@@ -30,7 +33,7 @@ import numpy as np
 from . import entangled, equatorial
 from .errors import ConvergenceError, DomainError
 from .equatorial import outcome_density_fourier
-from .spin import PreparedState, _check_copies, dicke_twice, log_binomial_weight
+from .spin import PreparedState, _check_copies, binomial_window, log_binomial_weight
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,15 @@ class QuadraticForm:
 def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window.
 
-    Only the labels with sqrt(b_{M,m}) > eps max_m sqrt(b_{M,m}), eps = 1e-17,
-    are kept: a contiguous window (b is log-concave), 1601 of the 16385
-    labels at M = 16384 and 3957 of 100001 at M = 10^5.  The window's kernel
+    Weights are formed only on spin.binomial_window(M, eps^2), eps = 1e-17: a
+    closed-form window (Hoeffding's bound against a lower bound on b_max)
+    outside which b_{M,m} <= eps^2 b_max, so it holds every label the cut
+    below keeps; 4111 labels at M = 10^5, against the 100001 of the lattice.
+    Hoeffding bounds the tail mass too: the weights never formed sum to at
+    most 2 eps^2 b_max.
+    Only the labels with sqrt(b_{M,m}) > eps max_m sqrt(b_{M,m}) are kept:
+    a contiguous window (b is log-concave), 1601 of the 16385 labels at
+    M = 16384 and 3957 of 100001 at M = 10^5.  The window's kernel
     is a principal submatrix, so its top eigenvalue lambda_W is at most the
     full one, lambda.  Splitting the full Perron vector into window and tail
     parts, with the tail diagonal at most eps sqrt(b_max) and the Toeplitz
@@ -125,7 +134,7 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     """
     _check_copies(n_copies)
     _check_copies(m_copies)
-    twice = dicke_twice(m_copies)
+    twice = binomial_window(m_copies, _WINDOW_FLOOR**2)
     sqrt_b = np.exp(0.5 * log_binomial_weight(m_copies, twice))
     window = sqrt_b > _WINDOW_FLOOR * sqrt_b.max()
     return QuadraticForm(
@@ -136,17 +145,43 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     )
 
 
+def _start_vector(form: QuadraticForm) -> np.ndarray:
+    """The large-M Perron vector q ~ exp(-m^2 / 2 s^2), plus 1e-14 sqrt(b).
+
+    Near the centre the kernel acts as b_max [A0 (1 - 2 m^2/M) q + A2 q''/2]
+    with A0 = sum_k a_k and A2 = sum_k k^2 a_k over the lags -N .. N: a
+    harmonic oscillator whose ground state is this Gaussian, with
+    s^2 = sqrt(M A2 / A0) / 2.  Its width grows like M^(1/4), where sqrt(b)
+    grows like M^(1/2).  The Gaussian underflows to 0 at the window's edges;
+    the small sqrt(b) part keeps every entry, and so every Ritz vector
+    entry, positive.
+    """
+    lags = np.arange(len(form.fourier))
+    a0 = 2.0 * np.sum(form.fourier) - form.fourier[0]
+    a2 = 2.0 * np.sum(lags * lags * form.fourier)
+    s2 = 0.5 * math.sqrt(form.m_copies * a2 / a0)
+    m = form.twice / 2.0
+    gauss = np.exp(-m * m / (2.0 * s2))
+    start = gauss / np.linalg.norm(gauss) + 1e-14 * form.sqrt_b / np.linalg.norm(form.sqrt_b)
+    return start / np.linalg.norm(start)
+
+
 def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[float, PreparedState]:
     """Dominant eigenpair of the fidelity kernel by Lanczos with full
     reorthogonalization.
 
-    The Krylov basis starts from sqrt(b), a positive vector graded like the
-    Perron vector, and grows by at most _MAX_STEPS = 300 steps (so at most
-    that many window vectors are held).  Every few steps the tridiagonal
-    projection is solved with np.linalg.eigh; once the Ritz estimate allows
-    it, the residual ||A q - rho q|| of the Ritz vector q (made positive and
-    normalized) is measured with a matvec, and the solve stops when it is at
-    most `tol` * rho.  So `tol` bounds the relative residual, not the change
+    The Krylov basis starts from the Gaussian exp(-m^2 / 2 s^2), with
+    s^2 = sqrt(M A2 / A0) / 2 for A0 = sum_k a_k and A2 = sum_k k^2 a_k: the
+    Perron vector of the kernel's large-M (harmonic-oscillator) limit.  A
+    1e-14 share of sqrt(b) keeps every entry positive where the Gaussian
+    underflows.  At M ~ 10^5 the weights b of a sqrt(b) start have ~300
+    times the variance of the Perron weights; that start took 89 matvecs at
+    (N, M) = (1, 100001), the Gaussian takes 49.  The basis grows by at most
+    _MAX_STEPS = 300 steps (so at most that many window vectors are held).
+    Every few steps the tridiagonal projection is solved with np.linalg.eigh;
+    once the Ritz estimate allows it, the residual ||A q - rho q|| of the Ritz
+    vector q (made positive and normalized) is measured with a matvec, and
+    the solve stops when it is at most `tol` * rho.  So `tol` bounds the relative residual, not the change
     of rho per step; the eigenvalue error is then at most `tol` * rho, and
     about the residual's square over the spectral gap.  The returned
     fidelity rho is the Rayleigh quotient of the returned state, so
@@ -164,7 +199,7 @@ def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[flo
     basis = np.empty((steps + 1, dim))
     alpha = np.zeros(steps)
     beta = np.zeros(steps)
-    basis[0] = form.sqrt_b / np.linalg.norm(form.sqrt_b)
+    basis[0] = _start_vector(form)
     residual = math.nan
     iterations = 0
     for k in range(steps):

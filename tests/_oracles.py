@@ -107,3 +107,28 @@ def phase_quadrature_reference(n_copies: int, m_copies: int, state, nodes: int) 
         amp_prep = np.exp(1j * np.outer(half_m, block)).T @ v
         total += float(np.sum(np.abs(amp_seed) ** 2 * np.abs(amp_prep) ** 2))
     return total / nodes
+
+
+def perron_law_ratio(n_copies: int, m_copies: int, eigenvalue: float) -> float:
+    """delta_eig sqrt(M) / sqrt(2 S2 / S1) for the qubit kernel's top eigenvalue.
+
+    Near the centre of the M-lattice the kernel is a harmonic oscillator, so
+    delta_eig = 1 - eigenvalue / F_clon tends to sqrt(2 S2 / (S1 M)) as M grows,
+    with S1 = sum_n sqrt(b_{N,n}) and S2 = sum_n n^2 sqrt(b_{N,n}); the ratio
+    tends to 1 from below, with a deficit of O(sqrt(N/M)).  S1, S2 and F_clon
+    come from mpmath binomials at 30 digits: no weight is shared with the
+    program.
+    """
+    with mpmath.workdps(30):
+        half = mpmath.mpf(n_copies) / 2
+        seed = [mpmath.sqrt(mpmath.binomial(n_copies, k) / mpmath.mpf(2) ** n_copies)
+                for k in range(n_copies + 1)]
+        s1 = mpmath.fsum(seed)
+        s2 = mpmath.fsum((k - half) ** 2 * r for k, r in enumerate(seed))
+        shift = (m_copies - n_copies) // 2  # label n sits at k + shift on the M-lattice
+        clone = mpmath.fsum(
+            r * mpmath.sqrt(mpmath.binomial(m_copies, k + shift) / mpmath.mpf(2) ** m_copies)
+            for k, r in enumerate(seed)
+        ) ** 2
+        delta = 1 - eigenvalue / clone
+        return float(delta * mpmath.sqrt(m_copies) / mpmath.sqrt(2 * s2 / s1))

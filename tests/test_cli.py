@@ -152,6 +152,18 @@ class TestExitStatuses:
         err = capsys.readouterr().err
         assert err.startswith("fatal: out of memory") and err.count("\n") == 1
 
+    # Windowed weights would fit these in memory, with digits ~1e-5 off at 10^10:
+    # refused before any array is formed.
+    @pytest.mark.parametrize("m_copies", [10**10, 10**11, 10**12])
+    def test_copy_number_above_the_bound_is_refused(self, capsys, m_copies):
+        start = time.perf_counter()
+        assert main(["mp-fidelity", "--n", "2", "--m", str(m_copies)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatal: out of memory") and captured.err.count("\n") == 1
+        assert "100000000" in captured.err
+
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"])
         assert code == 2

@@ -22,7 +22,12 @@ from clonebench.equatorial import (
     outcome_density_fourier,
     p_true,
 )
-from clonebench.spin import central_binomial_weight, sqrt_binomial_weights
+from clonebench.spin import (
+    central_binomial_weight,
+    dicke_twice,
+    log_binomial_weight,
+    sqrt_binomial_weights,
+)
 from _oracles import clone_fidelity_oracle, p_true_oracle
 
 
@@ -151,6 +156,18 @@ class TestPreparedStateAnsatz:
     def test_nan_lambda_rejected(self):
         with pytest.raises(DomainError):
             ansatz_cutoff(8, float("nan"))
+
+    @pytest.mark.parametrize("n_copies, m_copies", [(2, 4096), (5, 4097), (64, 100000)])
+    def test_naive_state_on_its_window(self, n_copies, m_copies):
+        # lambda = 1 keeps ~13 sqrt(M) labels; the full lattice gives the same fidelity.
+        state = prepared_state_ansatz(m_copies, 1.0)
+        assert len(state.p) < m_copies / 4
+        twice = dicke_twice(m_copies)
+        p = np.exp(log_binomial_weight(m_copies, twice))
+        full = PreparedState("qubit", M=m_copies, twice=twice, p=p / np.sum(p))
+        assert mp_fidelity_exact(n_copies, m_copies, state) == pytest.approx(
+            mp_fidelity_exact(n_copies, m_copies, full), rel=1e-14
+        )
 
     def test_weights_sum_to_one(self):
         for m, lam in [(4096, 1.0), (4096, 64.0), (101, 3.0)]:

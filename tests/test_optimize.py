@@ -20,6 +20,7 @@ from clonebench import (
 )
 from clonebench.equatorial import outcome_density_fourier
 from clonebench.spin import sqrt_binomial_weights
+from _oracles import perron_law_ratio
 
 
 def _full_lattice_matvec(n_copies, m_copies, x):
@@ -138,6 +139,32 @@ class TestOptimalPreparedState:
         assert form.twice[0] == -form.twice[-1]
         assert np.all(form.sqrt_b > 1e-17 * form.sqrt_b.max())
 
+    @pytest.mark.parametrize("pair", [(1, 100001), (2, 100000), (4, 16384), (3, 1025)])
+    def test_window_is_the_full_lattice_cut(self, pair):
+        # The closed-form window only bounds where weights are formed; the
+        # sqrt(b) > 1e-17 max cut, and so optimize-prep's support, is the same.
+        n_copies, m_copies = pair
+        sqrt_b = sqrt_binomial_weights(m_copies)
+        keep = sqrt_b > 1e-17 * sqrt_b.max()
+        form = build_quadratic_form(n_copies, m_copies)
+        assert np.array_equal(form.twice, np.arange(-m_copies, m_copies + 1, 2)[keep])
+        assert np.array_equal(form.sqrt_b, sqrt_b[keep])
+
+    # Lanczos steps run in blocks of 8, plus one residual check per solve.
+    @pytest.mark.parametrize(
+        "pair, most",
+        [((1, 100001), 49), ((2, 100000), 41), ((4, 100000), 33), ((1, 16385), 25),
+         ((2, 16384), 25), ((8, 16384), 17), ((256, 4096), 9), ((1024, 4096), 9),
+         ((4096, 4096), 9)],
+    )
+    def test_gaussian_start_matvec_count(self, pair, most):
+        form = build_quadratic_form(*pair)
+        calls = []
+        matvec = form.matvec
+        form.matvec = lambda q: calls.append(1) or matvec(q)
+        optimal_prepared_state(form)
+        assert len(calls) <= most
+
     def test_unreachable_tolerance_fails_fast(self):
         form = build_quadratic_form(1, 100001)
         start = time.perf_counter()
@@ -152,6 +179,22 @@ class TestOptimalPreparedState:
         with pytest.raises(ConvergenceError) as info:
             optimal_prepared_state(build_quadratic_form(1, 1), tol=tol)
         assert info.value.iterations == 0
+
+
+class TestLargeMPerronLaw:
+    """delta_eig sqrt(M) / sqrt(2 S2 / S1) -> 1: the harmonic-oscillator limit of
+    the kernel, a check of the solve at sizes no big-rational oracle reaches."""
+
+    @pytest.mark.parametrize("n_copies", [1, 2, 4, 8, 64])
+    def test_deficit_falls_with_m_and_is_bounded(self, n_copies):
+        deficits = []
+        for base in (1024, 4096, 16384, 100000):
+            m_copies = base + (base - n_copies) % 2
+            fidelity, _ = optimal_prepared_state(build_quadratic_form(n_copies, m_copies))
+            deficit = 1.0 - perron_law_ratio(n_copies, m_copies, fidelity)
+            assert 0.0 < deficit <= 2.0 * math.sqrt(n_copies / m_copies)
+            deficits.append(deficit)
+        assert all(a > b for a, b in zip(deficits, deficits[1:]))
 
 
 class TestLambdaSweep:

@@ -6,10 +6,14 @@ import pytest
 
 from clonebench import DomainError, PreparedState, irrep_spectrum
 from clonebench.spin import (
+    _MAX_COPIES,
+    _check_copies,
     _doubled,
     binomial_weight,
+    binomial_window,
     central_binomial_weight,
     dicke_twice,
+    log_binomial_weight,
     multiplicity,
     sqrt_binomial_weights,
     sqrt_irrep_weights,
@@ -40,6 +44,46 @@ class TestLattices:
     def test_total_spin_lattice_floor(self):
         assert list(total_spin_twice(4) / 2) == [0.0, 1.0, 2.0]
         assert list(total_spin_twice(3) / 2) == [0.5, 1.5]
+
+
+class TestBinomialWindow:
+    """The closed-form window holds every label whose weight can matter."""
+
+    @pytest.mark.parametrize("n_copies", [*range(1, 65), 1023, 4096, 16385, 100000])
+    @pytest.mark.parametrize("floor", [1e-34, 1e-8, 1e-300])
+    def test_holds_every_weight_above_the_floor(self, n_copies, floor):
+        window = binomial_window(n_copies, floor)
+        full = dicke_twice(n_copies)
+        log_b = log_binomial_weight(n_copies, full)
+        heavy = full[log_b > math.log(floor) + log_b.max()]
+        assert heavy[0] >= window[0] and heavy[-1] <= window[-1]
+        assert np.isin(window, full).all()  # on the lattice
+        assert window[0] == -window[-1]
+
+    @pytest.mark.parametrize("n_copies", range(1, 65))
+    def test_small_copy_numbers_keep_the_lattice(self, n_copies):
+        assert np.array_equal(binomial_window(n_copies, 1e-34), dicke_twice(n_copies))
+
+    def test_exact_weights_stay_inside(self):
+        # Exact rationals, no log-gamma: b_{N,t} <= 1e-34 b_max just past the edge.
+        for n_copies in (200, 1023, 1024):
+            edge = int(binomial_window(n_copies, 1e-34)[-1]) + 2
+            assert frac_binomial(n_copies, edge) * 10**34 <= frac_binomial(n_copies, n_copies % 2)
+
+    def test_large_copy_numbers_keep_a_sqrt_window(self):
+        assert len(binomial_window(100000, 1e-34)) == 4111
+        assert len(binomial_window(10**8, 1e-34)) < 140000
+
+
+class TestCopyNumberBound:
+    def test_largest_supported_copy_number_is_accepted(self):
+        _check_copies(_MAX_COPIES)
+        assert len(binomial_window(_MAX_COPIES, 1e-34)) < _MAX_COPIES
+
+    @pytest.mark.parametrize("n_copies", [_MAX_COPIES + 1, 10**10, 10**14])
+    def test_larger_copy_numbers_are_refused(self, n_copies):
+        with pytest.raises(MemoryError, match="copies exceed"):
+            _check_copies(n_copies)
 
 
 class TestBinomialWeight:
