@@ -78,7 +78,6 @@ class TestBinomialWindow:
 class TestCopyNumberBound:
     def test_largest_supported_copy_number_is_accepted(self):
         _check_copies(_MAX_COPIES)
-        assert len(binomial_window(_MAX_COPIES, 1e-34)) < _MAX_COPIES
 
     @pytest.mark.parametrize("n_copies", [_MAX_COPIES + 1, 10**10, 10**14])
     def test_larger_copy_numbers_are_refused(self, n_copies):
