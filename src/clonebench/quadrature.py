@@ -26,9 +26,7 @@ from .spin import (
 
 
 _CHUNK = 1024  # nodes per block of the char4 pair loop
-# Above this many products per chunk, the pair loop runs one product per left pair
-# rather than gathering both sides into copies (4 MB each at the bound).
-_GATHER_MAX = 2**19
+_GATHER_MAX = 2**16  # products per gathered char4 einsum: 512 kB per side, cache-sized
 
 
 class QuadratureWarning(UserWarning):
@@ -112,7 +110,8 @@ def _char4_sums(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     product of the node vectors chi_a chi_b and chi_c chi_d sin^2 over the
     distinct pairs.  The dot products are np.einsum loops, not BLAS, so the
     digits do not depend on the BLAS library or its thread count.  The node
-    axis is chunked, so memory stays bounded for any node count.
+    axis is chunked and each einsum gathers at most _GATHER_MAX products per
+    side, so memory stays bounded for any node and label count.
     """
     labels, rank = np.unique(t, return_inverse=True)
     rank = rank.reshape(4, -1)
@@ -124,11 +123,9 @@ def _char4_sums(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
         np.concatenate((rank[0] * width + rank[1], rank[2] * width + rank[3])),
         return_inverse=True,
     )
-    # Ordered by left pair, so each left pair's quadruples form one slice.
     quads, quad_of = np.unique(pair_of[:count] * len(pairs) + pair_of[count:],
                                return_inverse=True)
     left, right = np.divmod(quads, len(pairs))
-    slices = np.flatnonzero(np.diff(left, prepend=-1, append=len(pairs)))
     sums = np.zeros(len(quads))
     for start in range(0, len(phi), _CHUNK):
         block = phi[start : start + _CHUNK]
@@ -136,11 +133,10 @@ def _char4_sums(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
         chi = np.sin(np.outer(labels + 1, block)) / sin_phi
         pair_values = chi[pairs // width] * chi[pairs % width]
         weighted = pair_values * sin_phi**2
-        if len(quads) * len(block) <= _GATHER_MAX:  # few products: one call
-            sums += np.einsum("ij,ij->i", weighted[right], pair_values[left])
-            continue
-        for lo, hi in zip(slices[:-1], slices[1:]):  # many: one product per left pair
-            sums[lo:hi] += np.einsum("ij,j->i", weighted[right[lo:hi]], pair_values[left[lo]])
+        step = max(1, _GATHER_MAX // len(block))
+        for lo in range(0, len(quads), step):
+            part = slice(lo, lo + step)
+            sums[part] += np.einsum("ij,ij->i", weighted[right[part]], pair_values[left[part]])
     return 2.0 / len(phi) * sums[quad_of.reshape(-1)].reshape(t.shape[1:])
 
 

@@ -145,7 +145,7 @@ class TestWeylQuadratureArrays:
                                                int(group_nodes))
                 assert abs(value - scalar) <= 1e-14
 
-    # 619 multisets: 104 nodes take one gathered call, 1024 one call per left pair.
+    # 619 multisets: 104 nodes take one gathered call, 1024 ten blocks of at most 64.
     @pytest.mark.parametrize("nodes", [104, 1024])
     def test_label_order_does_not_move_a_bit(self, nodes):
         # Each quadruple is summed once per multiset of labels, in a fixed order,
