@@ -25,11 +25,6 @@ from .spin import (
     sqrt_binomial_weights,
 )
 
-# Weights at most this fraction of the largest are left out of an ansatz
-# state's support: their square roots, 1e-17 of the largest, are below double
-# precision in every lag product.
-_WEIGHT_FLOOR = 1e-34
-
 
 def _check_amplification(n_copies: int, m_copies: int) -> None:
     _check_copies(n_copies)
@@ -106,12 +101,13 @@ def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedState:
 
     lambda = 1 reproduces M identical copies of the estimated state; larger
     lambda narrows the support toward the central projection.  The support is
-    the window of spin.binomial_window(K, 1e-34), which holds every label with
-    b_{K,m} > 1e-34 max_m b_{K,m}, so what is left out moves the fidelity by
-    less than ~1e-17 relative.
+    the window of spin.binomial_window(K) at its default floor, which holds
+    every weight whose square root is above double precision next to the
+    largest, so what is left out moves the fidelity by less than ~1e-17
+    relative.
     """
     k, _ = ansatz_cutoff(m_copies, lam)
-    twice = binomial_window(k, _WEIGHT_FLOOR)
+    twice = binomial_window(k)
     p = np.exp(log_binomial_weight(k, twice))
     # gammaln sums drift by ~K*eps in the log; rescale so the weights sum to 1.
     return PreparedState("qubit", M=m_copies, twice=twice, p=p / np.sum(p))

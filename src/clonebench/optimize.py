@@ -33,7 +33,13 @@ import numpy as np
 from . import entangled, equatorial
 from .errors import ConvergenceError, DomainError
 from .equatorial import outcome_density_fourier
-from .spin import PreparedState, _check_copies, binomial_window, log_binomial_weight
+from .spin import (
+    _SQRT_FLOOR,
+    PreparedState,
+    _check_copies,
+    binomial_window,
+    log_binomial_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,6 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-# Labels whose sqrt-binomial weight is at most this fraction of the largest
-# are left out of the kernel; build_quadratic_form bounds what that costs.
-_WINDOW_FLOOR = 1e-17
 # Lanczos steps between two eigen-solves of the tridiagonal projection.
 _CHECK_EVERY = 8
 # Most Lanczos steps, and so most window vectors held, in one solve.
@@ -113,10 +116,11 @@ class QuadraticForm:
 def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window.
 
-    Weights are formed only on spin.binomial_window(M, eps^2), eps = 1e-17: a
-    closed-form window (Hoeffding's bound against a lower bound on b_max)
-    outside which b_{M,m} <= eps^2 b_max, so it holds every label the cut
-    below keeps; 4111 labels at M = 10^5, against the 100001 of the lattice.
+    Weights are formed only on spin.binomial_window(M) at its default floor
+    eps^2, eps = spin._SQRT_FLOOR = 1e-17: a closed-form window (Hoeffding's
+    bound against a lower bound on b_max) outside which b_{M,m} <= eps^2 b_max,
+    so it holds every label the cut below keeps; 4111 labels at M = 10^5,
+    against the 100001 of the lattice.
     Hoeffding bounds the tail mass too: the weights never formed sum to at
     most 2 eps^2 b_max.
     Only the labels with sqrt(b_{M,m}) > eps max_m sqrt(b_{M,m}) are kept:
@@ -134,9 +138,9 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     """
     _check_copies(n_copies)
     _check_copies(m_copies)
-    twice = binomial_window(m_copies, _WINDOW_FLOOR**2)
+    twice = binomial_window(m_copies)
     sqrt_b = np.exp(0.5 * log_binomial_weight(m_copies, twice))
-    window = sqrt_b > _WINDOW_FLOOR * sqrt_b.max()
+    window = sqrt_b > _SQRT_FLOOR * sqrt_b.max()
     return QuadraticForm(
         m_copies=m_copies,
         twice=twice[window],
@@ -181,8 +185,8 @@ def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[flo
     Every few steps the tridiagonal projection is solved with np.linalg.eigh;
     once the Ritz estimate allows it, the residual ||A q - rho q|| of the Ritz
     vector q (made positive and normalized) is measured with a matvec, and
-    the solve stops when it is at most `tol` * rho.  So `tol` bounds the relative residual, not the change
-    of rho per step; the eigenvalue error is then at most `tol` * rho, and
+    the solve stops when it is at most `tol` * rho.  So `tol` bounds the
+    relative residual, not the change of rho per step; the eigenvalue error is then at most `tol` * rho, and
     about the residual's square over the spectral gap.  The returned
     fidelity rho is the Rayleigh quotient of the returned state, so
     replaying the state through the exact evaluator reproduces it.  The

@@ -5,7 +5,7 @@ Spin projections n and total-spin labels j are stored as doubled integers
 checks reduce to integer arithmetic.  All probability weights are computed in
 the log domain and exponentiated, which stays finite where direct binomials
 overflow; large copy numbers keep only the window of labels that carries
-weight (binomial_window).  Copy numbers above _MAX_COPIES are refused.
+weight (binomial_window), which refuses copy numbers above _MAX_WINDOW_COPIES.
 """
 
 from __future__ import annotations
@@ -43,19 +43,23 @@ def _doubled(value):
     return rounded.astype(np.int64)
 
 
-# The largest copy number accepted: every size that full-lattice arrays allowed
-# on an 8 GB machine (10^8 ran, 3 * 10^8 did not).  Windowed weights would run
-# far beyond it, but the gammaln differences of log_binomial_weight lose digits
-# as N grows: the lambda = 1 f_mp at N = 2 is 2.3e-8 relative off at M = 10^8,
-# 1.2e-6 at 10^9 and 2.0e-5 at 10^10 (against the exact Vandermonde sum).
-_MAX_COPIES = 10**8
-
-
 def _check_copies(n_copies: int) -> None:
     if not isinstance(n_copies, (int, np.integer)) or n_copies < 1:
         raise DomainError(f"copy number must be a positive integer, got {n_copies!r}")
-    if n_copies > _MAX_COPIES:
-        raise MemoryError(f"{n_copies} copies exceed the supported {_MAX_COPIES}")
+
+
+# Square-root weights at most this fraction of the largest are below double
+# precision next to it: windowed supports leave out the labels with
+# b <= _SQRT_FLOOR^2 b_max (binomial_window's default floor).
+_SQRT_FLOOR = 1e-17
+
+# The largest copy number binomial_window accepts: every size that full-lattice
+# weight arrays allowed on an 8 GB machine (10^8 ran, 3 * 10^8 did not).
+# Windows would fit far beyond it, but the gammaln differences of
+# log_binomial_weight lose digits as N grows: the lambda = 1 f_mp at N = 2 is
+# 2.3e-8 relative off at M = 10^8, 1.2e-6 at 10^9 and 2.0e-5 at 10^10 (against
+# the exact Vandermonde sum).
+_MAX_WINDOW_COPIES = 10**8
 
 
 def dicke_twice(n_copies: int) -> np.ndarray:
@@ -71,7 +75,7 @@ def total_spin_twice(n_copies: int) -> np.ndarray:
     return np.arange(n_copies % 2, n_copies + 1, 2, dtype=np.int64)
 
 
-def binomial_window(n_copies: int, floor: float) -> np.ndarray:
+def binomial_window(n_copies: int, floor: float = _SQRT_FLOOR**2) -> np.ndarray:
     """Doubled labels -T, -T+2, ..., T of N copies outside which every weight
     b_{N,t} is at most `floor` times the largest, for 0 < floor <= 1.
 
@@ -80,10 +84,15 @@ def binomial_window(n_copies: int, floor: float) -> np.ndarray:
     label t, and the central weight is at least 1/sqrt(2N + 2), so every t
     with t^2 >= 2N (ln(1/floor) + ln(2N + 2)/2) has b_{N,t} <= floor b_max,
     and the weights outside the window sum to at most 2 floor b_max.
-    At floor 1e-34 that keeps 4111 of the 100001 labels of N = 10^5, and the
-    whole lattice up to N = 166.
+    At the default floor, 1e-34, that keeps 4111 of the 100001 labels of
+    N = 10^5, and the whole lattice up to N = 166.  Copy numbers above
+    _MAX_WINDOW_COPIES raise MemoryError before anything is formed.
     """
     _check_copies(n_copies)
+    if n_copies > _MAX_WINDOW_COPIES:
+        raise MemoryError(
+            f"{n_copies} copies exceed the {_MAX_WINDOW_COPIES} that windowed weights support"
+        )
     log_ratio = math.log(1.0 / floor) + 0.5 * math.log(2.0 * n_copies + 2.0)
     reach = math.sqrt(2.0 * n_copies * log_ratio)
     top = min(n_copies, math.ceil(reach) + 1)

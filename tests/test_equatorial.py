@@ -91,6 +91,11 @@ class TestCloneFidelityAsymptotics:
         exact = clone_fidelity_exact(400, 800)
         assert abs(clone_fidelity_large_n(400, 800) - exact) / exact <= 0.02
 
+    def test_closed_forms_past_the_window_bound(self):
+        # No M-lattice is formed, so copy numbers past spin._MAX_WINDOW_COPIES run.
+        m_copies = 10**10
+        assert clone_fidelity_large_n(2, m_copies) == math.sqrt(8.0 * m_copies) / (m_copies + 2)
+
 
 class TestOutcomeDensityFourier:
     def test_single_copy(self):

@@ -6,8 +6,7 @@ import pytest
 
 from clonebench import DomainError, PreparedState, irrep_spectrum
 from clonebench.spin import (
-    _MAX_COPIES,
-    _check_copies,
+    _MAX_WINDOW_COPIES,
     _doubled,
     binomial_weight,
     binomial_window,
@@ -75,14 +74,21 @@ class TestBinomialWindow:
         assert len(binomial_window(10**8, 1e-34)) < 140000
 
 
-class TestCopyNumberBound:
+class TestWindowCopyBound:
     def test_largest_supported_copy_number_is_accepted(self):
-        _check_copies(_MAX_COPIES)
+        assert binomial_window(_MAX_WINDOW_COPIES)[-1] < 140000
 
-    @pytest.mark.parametrize("n_copies", [_MAX_COPIES + 1, 10**10, 10**14])
+    @pytest.mark.parametrize("n_copies", [_MAX_WINDOW_COPIES + 1, 10**10, 10**14])
     def test_larger_copy_numbers_are_refused(self, n_copies):
         with pytest.raises(MemoryError, match="copies exceed"):
-            _check_copies(n_copies)
+            binomial_window(n_copies)
+
+    def test_closed_forms_are_not_bounded(self):
+        # Only windowed weights are refused; the scalar forms form no M-lattice.
+        # Their gammaln differences keep ~5 digits at 10^10 (1.8e-5 relative off).
+        assert central_binomial_weight(10**10) == pytest.approx(
+            math.sqrt(2.0 / (math.pi * 10**10)), rel=1e-4
+        )
 
 
 class TestBinomialWeight:
