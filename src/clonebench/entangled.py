@@ -20,9 +20,12 @@ import numpy as np
 
 from .errors import DomainError
 from .spin import (
+    _SQRT_FLOOR,
     PreparedState,
     _check_copies,
+    _check_window_copies,
     _doubled,
+    binomial_window,
     central_binomial_weight,
     log_irrep_weight,
     sqrt_irrep_weights,
@@ -86,11 +89,28 @@ def cg_overlap_count(j1, j2, j3, j4):
 
 
 def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
-    """Prepared state with block weights c_j^{(K)}, K = M/lambda rounded to the M-lattice."""
+    """Prepared state with block weights c_j^{(K)}, K = M/lambda rounded to the M-lattice.
+
+    The support is the non-negative half of spin.binomial_window(K, floor)
+    with floor = eps^2 / ((K + 1)(K + 2)) and eps = spin._SQRT_FLOOR, so no
+    weight is formed on the rest of the K/2 + 1 labels.  Since
+    (2j+1)^2 / (K/2+j+1) <= 2(K+1), every c_j <= 2(K+1) b_{K,2j}; and
+    c_max >= 2/(K+2), as at most K/2 + 1 weights sum to 1.  So every
+    label outside the window has c_j <= 2(K+1) floor <= eps^2 c_max, and
+    Hoeffding's tail bound puts the mass left out at most 4 eps^2 / (K+2),
+    below double precision.  The window keeps 453 of the 2049 labels at
+    K = 4096 and 24387 of 5 * 10^6 at K = 10^7; it refuses K above
+    spin._MAX_WINDOW_COPIES.
+    """
     k, _ = ansatz_cutoff(m_copies, lam)
-    twice_j = total_spin_twice(k)
+    window = binomial_window(k, _SQRT_FLOOR**2 / ((k + 1.0) * (k + 2.0)))
+    twice_j = window[window >= 0]
     p = np.exp(log_irrep_weight(k, twice_j))
     return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
+
+
+# Most pair products _char_square forms at once: 512 kB of doubles per block.
+_PAIR_BLOCK = 2**16
 
 
 def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
@@ -103,17 +123,34 @@ def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
     at J = k and takes it off past J = 2j + k in a difference array, whose
     prefix sum is b.  Pairs more than j_max steps apart add nothing up to
     j_max: O(j_max len(alpha)) time.
+
+    The products of all lags k <= j_max form one array, with the row of
+    lag k padded by k zeros, and are taken in blocks of at most _PAIR_BLOCK
+    products (one lag per block when a row is longer), so memory stays
+    O(_PAIR_BLOCK + j_max).  Row k's sum goes to bin k.  Only labels with
+    2j < j_max end a series at or below j_max; their products are taken off
+    by one np.bincount per block, with ends past j_max in a spare bin.  Bin
+    J takes its subtractions from lags k < J in ascending k, then its row
+    sum, as a lag-by-lag loop would: within one block only the padded row
+    sums may round differently.
     """
     twice, alpha = poly
+    size = len(alpha)
+    lags = min(size - 1, j_max) + 1
+    padded = np.concatenate((alpha, np.zeros(lags)))
+    step = max(1, _PAIR_BLOCK // size)
+    ending = np.searchsorted(twice, j_max)  # labels 2j >= j_max end every series past j_max
     diff = np.zeros(j_max + 2)
-    for k in range(min(len(alpha), j_max + 1)):
-        products = alpha[: len(alpha) - k] * alpha[k:]
-        if k:
-            products *= 2.0  # (j, j + k) and (j + k, j)
-        diff[k] += products.sum()
+    for start in range(0, lags, step):
+        k = np.arange(start, min(start + step, lags))[:, None]
+        products = alpha * padded[k + np.arange(size)]  # alpha_i alpha_{i+k}, 0 past the end
+        products[1 if start == 0 else 0 :] *= 2.0  # (j, j + k) and (j + k, j) for k > 0
         # twice[i] + k + 1 is just past the series end 2j + k, with j = twice[i] / 2.
-        ending = np.searchsorted(twice[: len(products)], j_max - k)
-        diff[twice[:ending] + k + 1] -= products[:ending]
+        ends = np.minimum(twice[:ending] + k + 1, j_max + 1)
+        diff -= np.bincount(
+            ends.ravel(), weights=products[:, :ending].ravel(), minlength=j_max + 2
+        )
+        diff[start : start + len(k)] += products.sum(axis=1)
     return np.cumsum(diff[: j_max + 1])
 
 
@@ -124,10 +161,14 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     chi_j)^2 and (sum_j sqrt(p_j c_j) chi_j / d_j)^2.  Each square is expanded
     into chi_J coefficients, and by character orthonormality the integral is
     their dot product.  The seed side stops at J = N, so only prepared-side
-    pairs at most N lattice steps apart count: O(N (N + S)) time and O(N + S)
-    memory for a prepared state supported on S labels.
+    pairs at most N lattice steps apart count: O(N (N + S)) time for a
+    prepared state supported on S labels, in _char_square's blocked pass, and
+    O(N + S + _PAIR_BLOCK) memory.  The lambda = 1 ansatz at M = 10^7 has
+    S = 24387 window labels.  M above spin._MAX_WINDOW_COPIES raises
+    MemoryError: the weights c_j^{(M)} lose digits there.
     """
     _check_copies(n_copies)
+    _check_window_copies(m_copies)
     state.check("entangled", m_copies)
     seed = _char_square(sqrt_irrep_weights(n_copies), n_copies)
     prepared = _char_square(prepared_char_polynomial(state), n_copies)

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .spin import (
     PreparedState,
     _check_copies,
+    _check_window_copies,
     binomial_window,
     dicke_twice,
     log_binomial_weight,
@@ -118,9 +119,12 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedState) -> flo
 
     Evaluates the phase integral as the finite convolution sum_k a_k c_{-k},
     where a is the outcome density spectrum and c is the autocorrelation of
-    the sqrt(p_m b_{M,m}) vector.  Cost O(N M).
+    the sqrt(p_m b_{M,m}) vector.  Cost O(N S) for a state on S labels.
+    M above spin._MAX_WINDOW_COPIES raises MemoryError, as the windows do:
+    the weights b_{M,m} lose digits there.
     """
     _check_copies(n_copies)
+    _check_window_copies(m_copies)
     state.check("qubit", m_copies)
     a = outcome_density_fourier(n_copies)
     v = np.sqrt(state.p) * np.exp(0.5 * log_binomial_weight(m_copies, state.twice))

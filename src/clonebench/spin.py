@@ -5,7 +5,8 @@ Spin projections n and total-spin labels j are stored as doubled integers
 checks reduce to integer arithmetic.  All probability weights are computed in
 the log domain and exponentiated, which stays finite where direct binomials
 overflow; large copy numbers keep only the window of labels that carries
-weight (binomial_window), which refuses copy numbers above _MAX_WINDOW_COPIES.
+weight (binomial_window).  Every path that forms weights over an M-lattice
+refuses copy numbers above _MAX_WINDOW_COPIES (_check_window_copies).
 """
 
 from __future__ import annotations
@@ -53,13 +54,25 @@ def _check_copies(n_copies: int) -> None:
 # b <= _SQRT_FLOOR^2 b_max (binomial_window's default floor).
 _SQRT_FLOOR = 1e-17
 
-# The largest copy number binomial_window accepts: every size that full-lattice
-# weight arrays allowed on an 8 GB machine (10^8 ran, 3 * 10^8 did not).
+# The largest copy number whose lattice weights are formed (_check_window_copies):
+# every size that full-lattice weight arrays allowed on an 8 GB machine (10^8
+# ran, 3 * 10^8 did not).
 # Windows would fit far beyond it, but the gammaln differences of
 # log_binomial_weight lose digits as N grows: the lambda = 1 f_mp at N = 2 is
 # 2.3e-8 relative off at M = 10^8, 1.2e-6 at 10^9 and 2.0e-5 at 10^10 (against
 # the exact Vandermonde sum).
 _MAX_WINDOW_COPIES = 10**8
+
+
+def _check_window_copies(n_copies: int) -> None:
+    """Refuse, with MemoryError, copy numbers above _MAX_WINDOW_COPIES: the
+    one check of every path that forms weights over an M-lattice (the
+    windows and both measure-and-prepare evaluators)."""
+    _check_copies(n_copies)
+    if n_copies > _MAX_WINDOW_COPIES:
+        raise MemoryError(
+            f"{n_copies} copies exceed the {_MAX_WINDOW_COPIES} that windowed weights support"
+        )
 
 
 def dicke_twice(n_copies: int) -> np.ndarray:
@@ -88,11 +101,7 @@ def binomial_window(n_copies: int, floor: float = _SQRT_FLOOR**2) -> np.ndarray:
     N = 10^5, and the whole lattice up to N = 166.  Copy numbers above
     _MAX_WINDOW_COPIES raise MemoryError before anything is formed.
     """
-    _check_copies(n_copies)
-    if n_copies > _MAX_WINDOW_COPIES:
-        raise MemoryError(
-            f"{n_copies} copies exceed the {_MAX_WINDOW_COPIES} that windowed weights support"
-        )
+    _check_window_copies(n_copies)
     log_ratio = math.log(1.0 / floor) + 0.5 * math.log(2.0 * n_copies + 2.0)
     reach = math.sqrt(2.0 * n_copies * log_ratio)
     top = min(n_copies, math.ceil(reach) + 1)

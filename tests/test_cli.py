@@ -153,16 +153,20 @@ class TestExitStatuses:
         assert err.startswith("fatal: out of memory") and err.count("\n") == 1
 
     # Windowed weights would fit these in memory, with digits ~1e-5 off at 10^10:
-    # refused before any array is formed.
+    # refused before an M-lattice weight is formed.  At lambda = 100 the ansatz
+    # window (K = M / 100) is accepted up to 10^10 and the evaluator refuses M.
     @pytest.mark.parametrize("m_copies", [10**10, 10**11, 10**12])
     def test_copy_number_above_the_bound_is_refused(self, capsys, m_copies):
-        start = time.perf_counter()
-        assert main(["mp-fidelity", "--n", "2", "--m", str(m_copies)]) == 1
-        assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("fatal: out of memory") and captured.err.count("\n") == 1
-        assert "100000000" in captured.err
+        for family in ("qubit", "entangled"):
+            for lam in ("1", "100"):
+                start = time.perf_counter()
+                assert main(["mp-fidelity", "--family", family, "--n", "2",
+                             "--m", str(m_copies), "--lambda", lam]) == 1
+                assert time.perf_counter() - start < 1.0
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("fatal: out of memory")
+                assert captured.err.count("\n") == 1 and "100000000" in captured.err
 
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"])

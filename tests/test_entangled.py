@@ -17,9 +17,16 @@ from clonebench import (
     prepared_state_ansatz,
     prepared_state_ansatz_ent,
 )
-from clonebench.entangled import p_true_ent, prepared_char_polynomial
+from clonebench import entangled
+from clonebench.entangled import _char_square, p_true_ent, prepared_char_polynomial
 from clonebench.quadrature import _char_values
-from clonebench.spin import central_binomial_weight, sqrt_irrep_weights
+from clonebench.spin import (
+    _SQRT_FLOOR,
+    central_binomial_weight,
+    log_irrep_weight,
+    sqrt_irrep_weights,
+    total_spin_twice,
+)
 from _oracles import eco_clone_fidelity_oracle, frac_irrep_weight, mp_fidelity_ent_oracle
 
 
@@ -142,6 +149,77 @@ class TestPreparedStateAnsatzEnt:
             prepared_state_ansatz_ent(8, 0.0)
 
 
+_WINDOW_SIZES = [*range(1, 301), 4095, 4096, 16385, 10**5, 10**5 + 1]
+
+
+class TestAnsatzWindow:
+    @pytest.mark.parametrize("k", _WINDOW_SIZES)
+    def test_holds_every_weight_above_the_floor(self, k):
+        # Against the full j-lattice: the labels left out carry c_j <= eps^2 c_max,
+        # and at most 4 eps^2 / (K + 2) of the mass.
+        twice = total_spin_twice(k)
+        c = np.exp(log_irrep_weight(k, twice))
+        kept = prepared_state_ansatz_ent(k, 1.0).twice
+        assert kept[0] == twice[0] and np.all(np.diff(kept) == 2)
+        left_out = twice > kept[-1]
+        assert np.all(c[left_out] <= _SQRT_FLOOR**2 * c.max())
+        assert math.fsum(c[left_out]) <= 4 * _SQRT_FLOOR**2 / (k + 2)
+
+    @pytest.mark.parametrize("k, kept", [(4096, 453), (10**5, 2319)])
+    def test_window_sizes(self, k, kept):
+        assert len(prepared_state_ansatz_ent(k, 1.0).twice) == kept
+
+    def test_weights_are_those_of_the_full_lattice(self):
+        # The dropped mass is below double precision, so the normalized weights agree.
+        state = prepared_state_ansatz_ent(4096, 1.0)
+        c = np.exp(log_irrep_weight(4096, total_spin_twice(4096)))
+        full = (c / np.sum(c))[: len(state.p)]
+        assert np.allclose(state.p, full, rtol=1e-14, atol=0)
+
+
+def _char_square_by_lag(poly, j_max):
+    """The lag-by-lag loop the blocked pass replaced: one slice product per lag."""
+    twice, alpha = poly
+    diff = np.zeros(j_max + 2)
+    for k in range(min(len(alpha), j_max + 1)):
+        products = alpha[: len(alpha) - k] * alpha[k:]
+        if k:
+            products *= 2.0
+        diff[k] += products.sum()
+        ending = np.searchsorted(twice[: len(products)], j_max - k)
+        diff[twice[:ending] + k + 1] -= products[:ending]
+    return np.cumsum(diff[: j_max + 1])
+
+
+class TestCharSquare:
+    # (j_max, labels): one block at the default size for all but (2048, 2319),
+    # the lambda = 1 window at M = 10^5 under an N = 2048 seed; the smaller
+    # block sizes split every case into several blocks.
+    @pytest.mark.parametrize("j_max, size", [(2, 2049), (64, 129), (2048, 2319), (48, 318),
+                                             (7, 1), (1, 2)])
+    @pytest.mark.parametrize("block", [entangled._PAIR_BLOCK, 1000, 1])
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_matches_the_lag_loop(self, monkeypatch, j_max, size, block, parity):
+        monkeypatch.setattr(entangled, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(size + j_max)
+        twice = np.arange(parity, parity + 2 * size, 2)
+        alpha = rng.random(size) * np.exp(-(twice / (2.0 * size)) ** 2)
+        for poly in ((twice, alpha), sqrt_irrep_weights(j_max)):
+            blocked = _char_square(poly, j_max)
+            reference = _char_square_by_lag(poly, j_max)
+            # Coefficients near j_max cancel to ~1e-16 of the largest, so the
+            # error is relative to that.
+            assert np.all(np.abs(blocked - reference) <= 1e-15 * np.abs(reference).max())
+
+    def test_sparse_support_matches_the_lag_loop(self):
+        # A support that starts above j_min and has a zero weight inside.
+        state = PreparedState("entangled", M=40, twice=[6, 8, 12, 14], p=[0.4, 0.1, 0.2, 0.3])
+        poly = prepared_char_polynomial(state)
+        for j_max in (1, 3, 8, 40):
+            assert np.allclose(_char_square(poly, j_max), _char_square_by_lag(poly, j_max),
+                               rtol=1e-15, atol=1e-17)
+
+
 class TestMpFidelityExactEnt:
     def test_single_copy_naive(self):
         state = prepared_state_ansatz_ent(1, 1.0)
@@ -206,6 +284,16 @@ class TestMpFidelityExactEnt:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_wide_seed_at_large_m_stays_small(self):
+        state = prepared_state_ansatz_ent(10**5, 1.0)
+        tracemalloc.start()
+        try:
+            mp_fidelity_exact_ent(2048, 10**5, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_mismatched_m_rejected(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from clonebench import DomainError, PreparedState, irrep_spectrum
+from clonebench import (
+    DomainError,
+    PreparedState,
+    irrep_spectrum,
+    mp_fidelity_exact,
+    mp_fidelity_exact_ent,
+)
 from clonebench.spin import (
     _MAX_WINDOW_COPIES,
     _doubled,
@@ -82,6 +88,17 @@ class TestWindowCopyBound:
     def test_larger_copy_numbers_are_refused(self, n_copies):
         with pytest.raises(MemoryError, match="copies exceed"):
             binomial_window(n_copies)
+
+    @pytest.mark.parametrize("family, evaluator", [("qubit", mp_fidelity_exact),
+                                                   ("entangled", mp_fidelity_exact_ent)])
+    def test_evaluators_refuse_larger_copy_numbers(self, family, evaluator):
+        # Both form weights over the M-lattice on the state's labels, however few.
+        m_copies = _MAX_WINDOW_COPIES + 2
+        state = PreparedState(family, M=m_copies, twice=[0], p=[1.0])
+        with pytest.raises(MemoryError, match="copies exceed"):
+            evaluator(2, m_copies, state)
+        state = PreparedState(family, M=_MAX_WINDOW_COPIES, twice=[0], p=[1.0])
+        assert 0.0 < evaluator(2, _MAX_WINDOW_COPIES, state) < 1.0
 
     def test_closed_forms_are_not_bounded(self):
         # Only windowed weights are refused; the scalar forms form no M-lattice.
