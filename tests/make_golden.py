@@ -53,6 +53,10 @@ INVOCATIONS = [
         ["sweep", "--n", "5", "--m", "1,3", "--grid", "1"], ("csv", "json"))),
     [["sweep", "--n", "4,2,2", "--m", "64,16", "--grid", "1"], None],
     [["sweep", "--family", "entangled", "--n", "2", "--m", "4096", "--grid", "1"], None],
+    # Across the window's cut: lambda = 1 keeps 453 of the 2049 labels of M = 4096.
+    [["mp-fidelity", "--family", "entangled", "--n", "64", "--m", "4096", "--lambda", "1",
+      "--format", "json"], None],
+    [["sweep", "--family", "entangled", "--n", "63", "--m", "4097", "--grid", "1,4,16"], None],
     [["sweep", "--n", "2", "--m", "16", "--grid", "1,64"], None],  # clamped cutoff
     [["sweep", "--n", "2", "--m", "", "--grid", "1"], None],  # header only
     *([argv, None] for argv in _formats(["clone-fidelity", "--n", "1", "--m", "3"])),
@@ -85,6 +89,9 @@ INVOCATIONS = [
     [["clone-fidelity", "--family", "ghz", "--n", "1", "--m", "1"], None],
     [["mp-fidelity", "--n", "2", "--m", "4", "--lambda", "-1e-3"], None],
     [["mp-fidelity", "--n", "2", "--m", str(10**14)], None],  # fatal: out of memory
+    [["mp-fidelity", "--family", "entangled", "--n", "2", "--m", str(10**10)], None],  # window
+    [["mp-fidelity", "--family", "entangled", "--n", "2", "--m", str(10**10),
+      "--lambda", "100"], None],  # the evaluator
     [["clone-fidelity", "--n", "4", "--m", "2"], None],
     [["frobnicate"], None],
     [["optimize-prep", "--n", "1", "--m", "1", "--tol", "-1"], None],
