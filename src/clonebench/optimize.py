@@ -3,9 +3,24 @@
 For the qubit family, the measure-and-prepare fidelity is the quadratic form
 q^T A q in q_m = sqrt(p_m) with the banded nonnegative kernel
 A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m}, so the best prepared state within
-the covariant-seed class is the Perron eigenvector of A.  The eigenvalue is a
-lower bound on the optimal estimation fidelity, and it upper-bounds every
-cutoff-ansatz value, giving the dominance chain
+the covariant-seed class is the Perron eigenvector of A.  The eigenvalue is
+the optimal measure-and-prepare fidelity over every strategy, not only a
+bound on it:
+  - averaging a strategy over the phase group keeps its fidelity, so a
+    covariant POVM with seed xi (PSD, xi_nn = 1) and a covariant prepared
+    state suffice;
+  - the prepared state can be a pure Phi in the symmetric M-copy subspace:
+    mixtures do not help, by convexity, and the rest has no overlap with
+    |psi>^M;
+  - then F = sum_k a_k(xi) c_k(Phi), with a_k(xi) = sum_n sqrt(b_n b_{n+k})
+    xi_{n,n+k} and c_k(Phi) = sum_m sqrt(b_m b_{m+k}) conj(Phi_m) Phi_{m+k};
+  - |xi_{n,n+k}| <= 1 and |c_k(Phi)| <= c_k(|Phi|), so with q = |Phi|,
+    F <= sum_k a_k(1) c_k(q) = q^T A q <= lambda_max(A);
+  - the all-ones seed (the covariant phase measurement) with the Perron
+    vector attains it.
+So the qubit delta column is the exact relative gap, to the solver's tol
+(cf. Bae and Acin, PRL 97, 030402 (2006)).  The eigenvalue also
+upper-bounds every cutoff-ansatz value, giving the dominance chain
 F_naive <= F_lambda* <= lambda_max(A) <= F_clon for the best swept lambda*.
 
 The kernel is kept only on the window of labels whose sqrt-binomial weight
@@ -19,7 +34,9 @@ residual ||A q - rho q|| is at most tol * rho.
 
 Which evaluators make up a family is decided here, by the FAMILIES registry;
 report.relative_gap combines them into one sweep row.  The entangled family
-has no kernel yet, so its rows come from the cutoff-ansatz sweep only.
+has no kernel yet, so its rows come from the cutoff-ansatz sweep only; its
+evaluator fixes the square-root-measurement seed, and the argument above is
+not claimed for it.
 """
 
 from __future__ import annotations

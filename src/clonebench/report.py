@@ -94,9 +94,12 @@ def relative_gap(n_copies: int, m_copies: int, family: str = "qubit", lambdas=No
 
     F_est is the best swept ansatz fidelity `f_mp` (at lambda `lam`, over the
     powers of two up to M by default), and for a family with a kernel also
-    its Perron eigenvalue `f_eig`; both are achievable measure-and-prepare
-    fidelities, so F_est is a lower bound on the true optimum.  `f_naive` is
-    the lambda = 1 ansatz fidelity, taken from the sweep when the grid holds 1.
+    its Perron eigenvalue `f_eig`.  For qubits f_eig is the optimum over all
+    measure-and-prepare strategies (see the optimize module), so delta is the
+    exact gap, to the solver's tol.  For the entangled family F_est is the
+    best ansatz value, an achievable fidelity, so delta bounds the gap from
+    above.  `f_naive` is the lambda = 1 ansatz fidelity, taken from the sweep
+    when the grid holds 1.
     """
     start = time.perf_counter()
     evaluators = optimize.Family.named(family)

@@ -109,6 +109,30 @@ def phase_quadrature_reference(n_copies: int, m_copies: int, state, nodes: int) 
     return total / nodes
 
 
+def phase_quadrature_general(n_copies: int, m_copies: int, seed, amplitudes, nodes: int) -> float:
+    """Qubit measure-and-prepare fidelity of any covariant strategy, by a dense phase rule.
+
+    `seed` is the (N+1) x (N+1) POVM seed xi on the Dicke labels -N/2 .. N/2
+    (Hermitian PSD with unit diagonal); `amplitudes` is the prepared pure
+    state Phi on the M + 1 Dicke labels, complex, with unit norm.  The
+    fidelity is the phase average of the outcome density
+    sum_{n,n'} sqrt(b_n b_n') xi_{nn'} e^{i(n - n') theta} times the
+    overlap |sum_m sqrt(b_{M,m}) Phi_m e^{i m theta}|^2: a trigonometric
+    polynomial of degree N + M, so `nodes` > N + M equispaced nodes give it
+    exactly.  The all-ones seed with real Phi = sqrt(p) is the exact
+    evaluator's fidelity.  Weights come from math.comb.  No domain checks.
+    """
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
+    half_n = np.arange(-n_copies, n_copies + 1, 2) / 2.0
+    half_m = np.arange(-m_copies, m_copies + 1, 2) / 2.0
+    sb_n = np.sqrt([math.comb(n_copies, k) / 2.0**n_copies for k in range(n_copies + 1)])
+    sb_m = np.sqrt([math.comb(m_copies, k) / 2.0**m_copies for k in range(m_copies + 1)])
+    v = sb_n[:, None] * np.exp(-1j * np.outer(half_n, theta))
+    density = np.einsum("ni,ni->i", v.conj(), np.asarray(seed) @ v)
+    overlap = (sb_m * np.asarray(amplitudes)) @ np.exp(1j * np.outer(half_m, theta))
+    return float(np.real(np.mean(density * np.abs(overlap) ** 2)))
+
+
 def perron_law_ratio(n_copies: int, m_copies: int, eigenvalue: float) -> float:
     """delta_eig sqrt(M) / sqrt(2 S2 / S1) for the qubit kernel's top eigenvalue.
 

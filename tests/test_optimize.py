@@ -20,7 +20,7 @@ from clonebench import (
 )
 from clonebench.equatorial import outcome_density_fourier
 from clonebench.spin import sqrt_binomial_weights
-from _oracles import perron_law_ratio
+from _oracles import perron_law_ratio, phase_quadrature_general
 
 
 def _full_lattice_matvec(n_copies, m_copies, x):
@@ -295,3 +295,49 @@ class TestDominanceChain:
             assert math.isfinite(value) and 0.0 <= value <= 1.0 + 1e-13
         assert rows[1.0] <= sweep.best_fidelity <= eigen * (1 + 1e-13)
         assert eigen <= f_clon * (1 + 1e-13)
+
+
+class TestCovariantOptimum:
+    """lambda_max(A) is the best qubit measure-and-prepare fidelity of any
+    covariant strategy (see the optimize module docstring): a random PSD
+    unit-diagonal seed with a random complex prepared state never beats it,
+    and the all-ones seed with the Perron state reaches it."""
+
+    @staticmethod
+    def _eigen(n_copies, m_copies):
+        return optimal_prepared_state(build_quadratic_form(n_copies, m_copies))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_copies=st.integers(1, 4), extra=st.integers(0, 5), rank=st.integers(1, 5),
+           draw=st.integers(0, 2**32 - 1))
+    def test_no_strategy_beats_the_eigenvalue(self, n_copies, extra, rank, draw):
+        m_copies = n_copies + 2 * extra
+        rng = np.random.default_rng(draw)
+        g = rng.normal(size=(n_copies + 1, rank)) + 1j * rng.normal(size=(n_copies + 1, rank))
+        seed = g @ g.conj().T
+        scale = np.sqrt(np.real(np.diag(seed)))
+        seed /= np.outer(scale, scale)
+        phi = rng.normal(size=m_copies + 1) + 1j * rng.normal(size=m_copies + 1)
+        phi /= np.linalg.norm(phi)
+        nodes = 2 * (n_copies + m_copies) + 1
+        value = phase_quadrature_general(n_copies, m_copies, seed, phi, nodes)
+        f_eig, _ = self._eigen(n_copies, m_copies)
+        assert 0.0 < value <= f_eig * (1 + 1e-12)
+
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 4), (2, 6), (3, 7), (4, 10), (5, 21)])
+    def test_all_ones_seed_and_perron_state_reach_it(self, pair):
+        n_copies, m_copies = pair
+        f_eig, state = self._eigen(n_copies, m_copies)
+        phi = np.zeros(m_copies + 1)
+        phi[(state.twice + m_copies) // 2] = np.sqrt(state.p)
+        nodes = 2 * (n_copies + m_copies) + 1
+        seed = np.ones((n_copies + 1, n_copies + 1))
+        assert phase_quadrature_general(n_copies, m_copies, seed, phi, nodes) == pytest.approx(
+            f_eig, rel=1e-12)
+        # The same strategy turned by a phase alpha on both sides is just as good.
+        alpha = 0.7
+        turn = np.exp(1j * alpha * np.arange(-n_copies, n_copies + 1, 2) / 2.0)
+        phase = np.exp(1j * alpha * np.arange(-m_copies, m_copies + 1, 2) / 2.0)
+        turned = phase_quadrature_general(n_copies, m_copies, np.outer(turn, turn.conj()),
+                                          phi * phase, nodes)
+        assert turned == pytest.approx(f_eig, rel=1e-12)
