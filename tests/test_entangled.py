@@ -194,7 +194,7 @@ def _char_square_by_lag(poly, j_max):
 class TestCharSquare:
     # (j_max, labels): one block at the default size for all but (2048, 2319),
     # the lambda = 1 window at M = 10^5 under an N = 2048 seed; the smaller
-    # block sizes split every case into several blocks.
+    # block sizes split every case with more than one lag into several blocks.
     @pytest.mark.parametrize("j_max, size", [(2, 2049), (64, 129), (2048, 2319), (48, 318),
                                              (7, 1), (1, 2)])
     @pytest.mark.parametrize("block", [entangled._PAIR_BLOCK, 1000, 1])
