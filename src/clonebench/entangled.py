@@ -6,10 +6,10 @@ with the group orbit are class functions, i.e. finite combinations of SU(2)
 characters.  The measure-and-prepare fidelity is the Haar integral of two
 of them, each the square of a character sum.  Each square is expanded into
 chi_J coefficients along the Clebsch-Gordan series |j - j'| <= J <= j + j'
-(a difference array, then one prefix sum), and by character orthonormality
-the integral is the dot product of the two coefficient vectors: O(N (N + S))
-for a prepared state on S labels.  Nothing here materializes a
-2^N-dimensional operator.
+(a difference array of the sum's autocorrelation minus its self-convolution,
+then one prefix sum), and by character orthonormality the integral is the dot
+product of the two coefficient vectors: O(N S + N^2) for a prepared state on S
+labels.  Nothing here materializes a 2^N-dimensional operator.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .spin import (
     sqrt_irrep_weights,
     total_spin_twice,
 )
-from .equatorial import _check_amplification, ansatz_cutoff
+from .equatorial import _check_amplification, _lag_products, ansatz_cutoff
 
 
 def prepared_char_polynomial(state: PreparedState) -> tuple[np.ndarray, np.ndarray]:
@@ -109,49 +109,34 @@ def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
     return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
 
 
-# Most pair products _char_square forms at once: 512 kB of doubles per block.
-_PAIR_BLOCK = 2**16
-
-
 def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
     """Coefficients b_J of poly^2 = sum_J b_J chi_J for J = 0..j_max.
 
     poly = (doubled labels, alpha) is the class function sum_j alpha_j chi_j,
     with chi_j(phi) = sin(d_j phi)/sin(phi).  Its labels must fill one lattice
-    densely; chi_j chi_j' is then the sum of chi_J over the integers
-    J = |j - j'|, ..., j + j'.  A pair of labels k steps apart adds its product
-    at J = k and takes it off past J = 2j + k in a difference array, whose
-    prefix sum is b.  Pairs more than j_max steps apart add nothing up to
-    j_max: O(j_max len(alpha)) time.
-
-    The products of all lags k <= j_max form one array, with the row of
-    lag k padded by k zeros, and are taken in blocks of at most _PAIR_BLOCK
-    products (one lag per block when a row is longer), so memory stays
-    O(_PAIR_BLOCK + j_max).  Row k's sum goes to bin k.  Only labels with
-    2j < j_max end a series at or below j_max; their products are taken off
-    by one np.bincount per block, with ends past j_max in a spare bin.  Bin
-    J takes its subtractions from lags k < J in ascending k, then its row
-    sum, as a lag-by-lag loop would: within one block only the padded row
-    sums may round differently.
+    densely, 2j = t0 + 2i for i = 0..S-1; chi_j chi_j' is then the sum of chi_J
+    over the integers J = |j - j'|, ..., j + j', so the pair (i, i') adds
+    alpha_i alpha_i' to b_J for |i - i'| <= J <= t0 + i + i'.  In a difference
+    array whose prefix sum is b, that is
+      + (2 - delta_k0) r_k at J = k, with r_k = sum_i alpha_i alpha_{i+k} the
+        autocorrelation (both orders of a pair k > 0 steps apart), and
+      - (alpha * alpha)_u at J = t0 + u + 1, the self-convolution summing
+        the ordered pairs with i + i' = u, whose series end at t0 + u.
+    Only J <= j_max is kept: lags up to j_max, and ends with u < j_max - t0,
+    which involve only the labels i <= u, i.e. alpha[:j_max - t0].  O(j_max S)
+    time and O(j_max + S) memory.
     """
     twice, alpha = poly
-    size = len(alpha)
-    lags = min(size - 1, j_max) + 1
-    padded = np.concatenate((alpha, np.zeros(lags)))
-    step = max(1, _PAIR_BLOCK // size)
-    ending = np.searchsorted(twice, j_max)  # labels 2j >= j_max end every series past j_max
-    diff = np.zeros(j_max + 2)
-    for start in range(0, lags, step):
-        k = np.arange(start, min(start + step, lags))[:, None]
-        products = alpha * padded[k + np.arange(size)]  # alpha_i alpha_{i+k}, 0 past the end
-        products[1 if start == 0 else 0 :] *= 2.0  # (j, j + k) and (j + k, j) for k > 0
-        # twice[i] + k + 1 is just past the series end 2j + k, with j = twice[i] / 2.
-        ends = np.minimum(twice[:ending] + k + 1, j_max + 1)
-        diff -= np.bincount(
-            ends.ravel(), weights=products[:, :ending].ravel(), minlength=j_max + 2
-        )
-        diff[start : start + len(k)] += products.sum(axis=1)
-    return np.cumsum(diff[: j_max + 1])
+    r = _lag_products(alpha, j_max)
+    diff = np.zeros(j_max + 1)
+    diff[: len(r)] = 2.0 * r
+    diff[0] = r[0]
+    first = int(twice[0])
+    if first < j_max:
+        head = alpha[: j_max - first]
+        ends = np.convolve(head, head)[: j_max - first]
+        diff[first + 1 : first + 1 + len(ends)] -= ends
+    return np.cumsum(diff)
 
 
 def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) -> float:
@@ -161,9 +146,9 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     chi_j)^2 and (sum_j sqrt(p_j c_j) chi_j / d_j)^2.  Each square is expanded
     into chi_J coefficients, and by character orthonormality the integral is
     their dot product.  The seed side stops at J = N, so only prepared-side
-    pairs at most N lattice steps apart count: O(N (N + S)) time for a
-    prepared state supported on S labels, in _char_square's blocked pass, and
-    O(N + S + _PAIR_BLOCK) memory.  The lambda = 1 ansatz at M = 10^7 has
+    pairs at most N lattice steps apart count: O(N S + N^2) time and
+    O(N + S) memory for a prepared state supported on S labels.  The
+    lambda = 1 ansatz at M = 10^7 has
     S = 24387 window labels.  M above spin._MAX_WINDOW_COPIES raises
     MemoryError: the weights c_j^{(M)} lose digits there.
     """

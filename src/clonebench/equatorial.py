@@ -63,9 +63,19 @@ def clone_fidelity_large_n(n_copies: int, m_copies: int) -> float:
 
 
 def _lag_products(v: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelation v[:-k] . v[k:] at lags k = 0 .. min(max_lag, len(v) - 1)."""
-    lags = range(min(max_lag, len(v) - 1) + 1)
-    return np.array([np.dot(v[: len(v) - k], v[k:]) for k in lags])
+    """Autocorrelation v[:-k] . v[k:] at lags k = 0 .. L, L = min(max_lag, len(v) - 1).
+
+    One valid-mode correlation sums every lag over the first len(v) - L
+    entries, and the autocorrelation of the last L entries adds the rest:
+    O(len(v) L) time and O(len(v)) memory.
+    """
+    size = len(v)
+    lags = min(max_lag, size - 1)
+    r = np.correlate(v, v[: size - lags], "valid")
+    if lags:
+        tail = v[size - lags :]
+        r[:lags] += np.correlate(tail, tail, "full")[lags - 1 :]
+    return r
 
 
 def outcome_density_fourier(n_copies: int) -> np.ndarray:

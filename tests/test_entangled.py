@@ -17,7 +17,6 @@ from clonebench import (
     prepared_state_ansatz,
     prepared_state_ansatz_ent,
 )
-from clonebench import entangled
 from clonebench.entangled import _char_square, p_true_ent, prepared_char_polynomial
 from clonebench.quadrature import _char_values
 from clonebench.spin import (
@@ -178,7 +177,7 @@ class TestAnsatzWindow:
 
 
 def _char_square_by_lag(poly, j_max):
-    """The lag-by-lag loop the blocked pass replaced: one slice product per lag."""
+    """The square lag by lag: one slice product per lag, its series ends in a difference array."""
     twice, alpha = poly
     diff = np.zeros(j_max + 2)
     for k in range(min(len(alpha), j_max + 1)):
@@ -192,24 +191,33 @@ def _char_square_by_lag(poly, j_max):
 
 
 class TestCharSquare:
-    # (j_max, labels): one block at the default size for all but (2048, 2319),
-    # the lambda = 1 window at M = 10^5 under an N = 2048 seed; the smaller
-    # block sizes split every case with more than one lag into several blocks.
+    # (j_max, labels): (2048, 2319) is the lambda = 1 window at M = 10^5 under
+    # an N = 2048 seed.
     @pytest.mark.parametrize("j_max, size", [(2, 2049), (64, 129), (2048, 2319), (48, 318),
                                              (7, 1), (1, 2)])
-    @pytest.mark.parametrize("block", [entangled._PAIR_BLOCK, 1000, 1])
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_matches_the_lag_loop(self, monkeypatch, j_max, size, block, parity):
-        monkeypatch.setattr(entangled, "_PAIR_BLOCK", block)
+    def test_matches_the_lag_loop(self, j_max, size, parity):
         rng = np.random.default_rng(size + j_max)
         twice = np.arange(parity, parity + 2 * size, 2)
         alpha = rng.random(size) * np.exp(-(twice / (2.0 * size)) ** 2)
         for poly in ((twice, alpha), sqrt_irrep_weights(j_max)):
-            blocked = _char_square(poly, j_max)
+            square = _char_square(poly, j_max)
             reference = _char_square_by_lag(poly, j_max)
             # Coefficients near j_max cancel to ~1e-16 of the largest, so the
             # error is relative to that.
-            assert np.all(np.abs(blocked - reference) <= 1e-15 * np.abs(reference).max())
+            assert np.all(np.abs(square - reference) <= 1e-15 * np.abs(reference).max())
+
+    # (first doubled label, labels, j_max): the first label at or above j_max,
+    # so no series ends at or below j_max, and a single label at j_max = 0.
+    @pytest.mark.parametrize("first, size, j_max", [(6, 4, 3), (9, 3, 4), (5, 2, 5), (4, 5, 4),
+                                                    (0, 1, 0), (1, 1, 0), (10, 1, 0), (7, 1, 0)])
+    def test_no_series_end_below_j_max(self, first, size, j_max):
+        twice = np.arange(first, first + 2 * size, 2)
+        alpha = np.linspace(1.0, 0.5, size)
+        square = _char_square((twice, alpha), j_max)
+        reference = _char_square_by_lag((twice, alpha), j_max)
+        assert len(square) == j_max + 1
+        assert np.all(np.abs(square - reference) <= 1e-15 * np.abs(reference).max())
 
     def test_sparse_support_matches_the_lag_loop(self):
         # A support that starts above j_min and has a zero weight inside.

@@ -17,6 +17,7 @@ from clonebench import (
     sqrt_binomial_sum,
 )
 from clonebench.equatorial import (
+    _lag_products,
     ansatz_cutoff,
     clone_fidelity_large_m,
     outcome_density_fourier,
@@ -129,6 +130,27 @@ class TestOutcomeDensityFourier:
         k = np.arange(1, n_copies + 1)
         density = a[0] + 2.0 * np.cos(np.outer(theta, k)) @ a[1:]
         assert density.min() >= -1e-12
+
+
+def _lag_products_by_dot(v, max_lag):
+    """The autocorrelation lag by lag: one np.dot per lag."""
+    lags = range(min(max_lag, len(v) - 1) + 1)
+    return np.array([np.dot(v[: len(v) - k], v[k:]) for k in lags])
+
+
+class TestLagProducts:
+    # (labels, max_lag): one label; lag 0 only; the last lag; lags past the
+    # end; lags in between, among them the (4096, lambda 1) qubit ansatz
+    # window under an N = 256 seed.
+    @pytest.mark.parametrize("size, max_lag", [(1, 0), (1, 5), (40, 0), (40, 39), (40, 41),
+                                               (40, 1000), (40, 17), (319, 48), (453, 256)])
+    def test_matches_one_dot_per_lag(self, size, max_lag):
+        rng = np.random.default_rng(size + max_lag)
+        v = rng.random(size) * np.exp(-((np.arange(size) - size / 2.0) / size) ** 2)
+        r = _lag_products(v, max_lag)
+        reference = _lag_products_by_dot(v, max_lag)
+        assert len(r) == min(max_lag, size - 1) + 1
+        assert np.all(np.abs(r - reference) <= 1e-15 * reference[0])
 
 
 class TestPreparedStateAnsatz:
