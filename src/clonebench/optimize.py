@@ -63,14 +63,14 @@ from .spin import (
 class Family:
     """The evaluators that make up one family's N -> M cloning question.
 
-    `has_kernel` marks the families whose measure-and-prepare optimum has the
-    Perron eigen bound of build_quadratic_form.
+    `kernel(n, m)` builds the quadratic form whose Perron eigenvalue is the
+    family's measure-and-prepare optimum; it is None for a family without one.
     """
 
     clone_fidelity: Callable[[int, int], float]
     ansatz: Callable[[int, float], PreparedState]
     mp_fidelity: Callable[[int, int, PreparedState], float]
-    has_kernel: bool
+    kernel: Callable[[int, int], QuadraticForm] | None
 
     @staticmethod
     def named(name: str) -> "Family":
@@ -88,13 +88,13 @@ FAMILIES: dict[str, Family] = {
         clone_fidelity=lambda n, m: equatorial.clone_fidelity_exact(n, m),
         ansatz=lambda m, lam: equatorial.prepared_state_ansatz(m, lam),
         mp_fidelity=lambda n, m, state: equatorial.mp_fidelity_exact(n, m, state),
-        has_kernel=True,
+        kernel=lambda n, m: build_quadratic_form(n, m),
     ),
     "entangled": Family(
         clone_fidelity=lambda n, m: entangled.eco_clone_fidelity_exact(n, m),
         ansatz=lambda m, lam: entangled.prepared_state_ansatz_ent(m, lam),
         mp_fidelity=lambda n, m, state: entangled.mp_fidelity_exact_ent(n, m, state),
-        has_kernel=False,
+        kernel=None,
     ),
 }
 

@@ -109,9 +109,8 @@ def relative_gap(n_copies: int, m_copies: int, family: str = "qubit", lambdas=No
     f_clon = evaluators.clone_fidelity(n_copies, m_copies)
     f_eig = None
     f_est = sweep.best_fidelity
-    if evaluators.has_kernel:
-        form = optimize.build_quadratic_form(n_copies, m_copies)
-        f_eig, _ = optimize.optimal_prepared_state(form)
+    if evaluators.kernel is not None:
+        f_eig, _ = optimize.optimal_prepared_state(evaluators.kernel(n_copies, m_copies))
         f_est = max(f_est, f_eig)
     naive = dict(sweep.rows).get(1.0)
     if naive is None:

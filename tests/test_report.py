@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from clonebench import DomainError, appendix_check, entangled
+from clonebench import DomainError, appendix_check, entangled, optimize
 from clonebench.report import (
     CSV_COLUMNS,
     SweepConfig,
@@ -108,6 +108,21 @@ class TestRunSweep:
         calls.clear()
         run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(4.0,)))
         assert len(calls) == 2  # without lambda = 1 in the grid, one extra naive call
+
+    @pytest.mark.parametrize("family, forms", [("qubit", 1), ("entangled", 0)])
+    def test_kernel_built_through_the_module_attribute(self, monkeypatch, family, forms):
+        # A tracer rebinds optimize.build_quadratic_form; the family's kernel must run it.
+        calls = []
+        build = optimize.build_quadratic_form
+
+        def counted(n, m):
+            calls.append((n, m))
+            return build(n, m)
+
+        monkeypatch.setattr(optimize, "build_quadratic_form", counted)
+        (row,) = run_sweep(SweepConfig(family, (2,), (64,), lambda_grid=(1.0, 4.0))).rows
+        assert calls == [(2, 64)] * forms
+        assert (row.f_eig is None) == (forms == 0)
 
     @pytest.mark.parametrize("family", ["qubit", "entangled"])
     @pytest.mark.parametrize("rule", [
