@@ -148,9 +148,9 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     their dot product.  The seed side stops at J = N, so only prepared-side
     pairs at most N lattice steps apart count: O(N S + N^2) time and
     O(N + S) memory for a prepared state supported on S labels.  The
-    lambda = 1 ansatz at M = 10^7 has
-    S = 24387 window labels.  M above spin._MAX_WINDOW_COPIES raises
-    MemoryError: the weights c_j^{(M)} lose digits there.
+    lambda = 1 ansatz at M = 10^7 has S = 24387 window labels.  M above
+    spin._MAX_WINDOW_COPIES raises MemoryError: the weights c_j^{(M)} lose
+    digits there.
     """
     _check_copies(n_copies)
     _check_window_copies(m_copies)

@@ -140,10 +140,10 @@ def _lag_products_by_dot(v, max_lag):
 
 class TestLagProducts:
     # (labels, max_lag): one label; lag 0 only; the last lag; lags past the
-    # end; lags in between, among them the (4096, lambda 1) qubit ansatz
-    # window under an N = 256 seed.
+    # end; lags in between, among them the lambda = 1 qubit ansatz window at
+    # M = 4096 (825 labels) under an N = 256 seed.
     @pytest.mark.parametrize("size, max_lag", [(1, 0), (1, 5), (40, 0), (40, 39), (40, 41),
-                                               (40, 1000), (40, 17), (319, 48), (453, 256)])
+                                               (40, 1000), (40, 17), (319, 48), (825, 256)])
     def test_matches_one_dot_per_lag(self, size, max_lag):
         rng = np.random.default_rng(size + max_lag)
         v = rng.random(size) * np.exp(-((np.arange(size) - size / 2.0) / size) ** 2)
