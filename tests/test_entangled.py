@@ -208,7 +208,7 @@ class TestCharSquare:
             assert np.all(np.abs(square - reference) <= 1e-15 * np.abs(reference).max())
 
     # (first doubled label, labels, j_max): the first label at or above j_max,
-    # so no series ends at or below j_max, and a single label at j_max = 0.
+    # so no series ends below j_max, and a single label at j_max = 0.
     @pytest.mark.parametrize("first, size, j_max", [(6, 4, 3), (9, 3, 4), (5, 2, 5), (4, 5, 4),
                                                     (0, 1, 0), (1, 1, 0), (10, 1, 0), (7, 1, 0)])
     def test_no_series_end_below_j_max(self, first, size, j_max):
