@@ -192,15 +192,18 @@ def _char_square_by_lag(poly, j_max):
 
 class TestCharSquare:
     # (j_max, labels): (2048, 2319) is the lambda = 1 window at M = 10^5 under
-    # an N = 2048 seed.
+    # an N = 2048 seed.  The square is quadratic in the weights, so the bound
+    # relative to the largest coefficient holds at every weight scale.
     @pytest.mark.parametrize("j_max, size", [(2, 2049), (64, 129), (2048, 2319), (48, 318),
                                              (7, 1), (1, 2)])
+    @pytest.mark.parametrize("scale", [2**16, 1000, 1])
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_matches_the_lag_loop(self, j_max, size, parity):
+    def test_matches_the_lag_loop(self, j_max, size, scale, parity):
         rng = np.random.default_rng(size + j_max)
         twice = np.arange(parity, parity + 2 * size, 2)
         alpha = rng.random(size) * np.exp(-(twice / (2.0 * size)) ** 2)
-        for poly in ((twice, alpha), sqrt_irrep_weights(j_max)):
+        seed_twice, seed_alpha = sqrt_irrep_weights(j_max)
+        for poly in ((twice, scale * alpha), (seed_twice, scale * seed_alpha)):
             square = _char_square(poly, j_max)
             reference = _char_square_by_lag(poly, j_max)
             # Coefficients near j_max cancel to ~1e-16 of the largest, so the
