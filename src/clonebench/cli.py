@@ -7,6 +7,7 @@ Exit statuses: 0 success (including empty sweeps), 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import random
 import re
@@ -189,7 +190,11 @@ def _cmd_oracle_check(args) -> int:
     return status
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every command, built once: argparse leaves ~300 objects
+    of cyclic garbage per build, so rebuilding it on each main() call made
+    in-process callers pay full garbage collections."""
     parser = _Parser(prog="clonebench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -120,7 +120,7 @@ def prepared_state_ansatz(m_copies: int, lam: float) -> PreparedState:
     k, _ = ansatz_cutoff(m_copies, lam)
     twice = binomial_window(k)
     p = np.exp(log_binomial_weight(k, twice))
-    # gammaln sums drift by ~K*eps in the log; rescale so the weights sum to 1.
+    # Log-factorial sums drift by ~K*eps in the log; rescale so the weights sum to 1.
     return PreparedState("qubit", M=m_copies, twice=twice, p=p / np.sum(p))
 
 

@@ -3,9 +3,9 @@
 Spin projections n and total-spin labels j are stored as doubled integers
 (2n, 2j), so both the even and odd copy-number lattices are exact and parity
 checks reduce to integer arithmetic.  All probability weights are computed in
-the log domain and exponentiated, which stays finite where direct binomials
-overflow; large copy numbers keep only the window of labels that carries
-weight (binomial_window).  Every path that forms weights over an M-lattice
+the log domain, as differences of log-factorials (_log_factorial), and
+exponentiated, which stays finite where direct binomials overflow; large copy
+numbers keep only the window of labels that carries weight (binomial_window).  Every path that forms weights over an M-lattice
 refuses copy numbers above _MAX_WINDOW_COPIES (_check_window_copies).
 """
 
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -57,7 +56,7 @@ _SQRT_FLOOR = 1e-17
 # The largest copy number whose lattice weights are formed (_check_window_copies):
 # every size that full-lattice weight arrays allowed on an 8 GB machine (10^8
 # ran, 3 * 10^8 did not).
-# Windows would fit far beyond it, but the gammaln differences of
+# Windows would fit far beyond it, but the log-factorial differences of
 # log_binomial_weight lose digits as N grows: the lambda = 1 f_mp at N = 2 is
 # 2.3e-8 relative off at M = 10^8, 1.2e-6 at 10^9 and 2.0e-5 at 10^10 (against
 # the exact Vandermonde sum).
@@ -109,21 +108,74 @@ def binomial_window(n_copies: int, floor: float = _SQRT_FLOOR**2) -> np.ndarray:
     return np.arange(-top, top + 1, 2, dtype=np.int64)
 
 
+# log k! as Cephes lgam(k + 1) computes it, the routine behind
+# scipy.special.gammaln, so the weights keep the digits they had with it.
+# Below x = k + 1 = 13 lgam takes the log of the exact factorial; from there
+# Stirling's series (x - 1/2) log x - x + log sqrt(2 pi) + tail(1/x^2) / x,
+# with a 5-term tail below x = 1000 and a 3-term one above.  (lgam drops the
+# tail above x = 10^8, where it is below half an ulp of the rest and adding
+# it changes nothing.  math.lgamma is another routine, up to 1.4e-9 off at
+# k ~ 10^5.)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_TAIL_BELOW_1000 = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+                    7.93650340457716943945e-4, -2.77777777730099687205e-3,
+                    8.33333333333331927722e-2)
+_TAIL_FROM_1000 = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+
+
+def _stirling(x, log, tail_coefficients):
+    """lgam(x) for x >= 13, scalar (log = math.log) or array (np.log)."""
+    p = 1.0 / (x * x)
+    tail = tail_coefficients[0]
+    for coefficient in tail_coefficients[1:]:
+        tail = tail * p + coefficient
+    return (x - 0.5) * log(x) - x + _LOG_SQRT_2PI + tail / x
+
+
+def _log_factorial_scalar(k: int) -> float:
+    if k < 12:
+        return math.log(math.factorial(k))
+    x = k + 1.0
+    return _stirling(x, math.log, _TAIL_BELOW_1000 if x < 1000.0 else _TAIL_FROM_1000)
+
+
+# Every k with x = k + 1 below 1000, so arrays need only the 3-term tail.
+_LOG_FACTORIALS = np.array([_log_factorial_scalar(k) for k in range(999)])
+
+
+def _log_factorial(k):
+    """log k! of a non-negative integer, or elementwise of an integer array.
+
+    Equal to gammaln(k + 1) on scalars and on k < 999; above that numpy's
+    vectorized log may round 1 ulp away from libm's, which moves the result
+    by at most 1 ulp.
+    """
+    if isinstance(k, (int, np.integer)):
+        return _log_factorial_scalar(int(k))
+    k = np.asarray(k)
+    small = k < len(_LOG_FACTORIALS)
+    if small.all():
+        return _LOG_FACTORIALS[k]
+    table = _LOG_FACTORIALS[np.minimum(k, len(_LOG_FACTORIALS) - 1)]
+    return np.where(small, table, _stirling(k + 1.0, np.log, _TAIL_FROM_1000))
+
+
 def log_binomial_weight(n_copies: int, twice: np.ndarray | int) -> np.ndarray:
     """log of C(N, N/2+n) / 2^N on the doubled lattice (no domain checks)."""
     twice = np.asarray(twice, dtype=np.int64)
     k = (n_copies + twice) // 2
     return (
-        gammaln(n_copies + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n_copies - k + 1.0)
+        _log_factorial(n_copies)
+        - _log_factorial(k)
+        - _log_factorial(n_copies - k)
         - n_copies * _LOG2
     )
 
 
 # Below this size the scalar path takes logs of exact integer binomials, which
 # keeps individual weights within a few ulp; above it big-int binomials get
-# slow and the gammaln form is accurate enough.
+# slow and the log-factorial form is accurate enough.
 _EXACT_COMB_MAX = 8192
 
 

@@ -1,6 +1,11 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +278,43 @@ class TestOracleCheckTolerance:
         assert main(["oracle-check", "--tol", tol]) == 1
         assert seen == []
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main() parses with one parser, built on the first call."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["clone-fidelity", "--n", "2", "--m", "10"],
+        ["mp-fidelity", "--family", "entangled", "--n", "2", "--m", "10", "--format", "csv"],
+        ["sweep", "--n", "2,3", "--m", "10,11", "--grid", "1,4"],
+    ])
+    def test_a_call_leaves_no_cyclic_garbage(self, capsys, argv):
+        # A parser built per call left ~300 cyclic objects, and so full
+        # collections, behind every in-process call.
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()  # so that no automatic collection hides garbage
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_value_carries_over_between_calls(self, capsys):
+        argv = ["mp-fidelity", "--n", "1", "--m", "1", "--format", "csv"]
+        assert main([*argv, "--lambda", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("qubit,1,1,4,")
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("qubit,1,1,1,")
+
+
+def test_cold_start_loads_no_scipy():
+    # scipy.special alone once took about half of every process start.
+    code = "import sys, clonebench.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.stdout.strip() == "[]"

@@ -12,8 +12,10 @@ from clonebench import (
     mp_fidelity_exact_ent,
 )
 from clonebench.spin import (
+    _LOG_FACTORIALS,
     _MAX_WINDOW_COPIES,
     _doubled,
+    _log_factorial,
     binomial_weight,
     binomial_window,
     central_binomial_weight,
@@ -102,7 +104,7 @@ class TestWindowCopyBound:
 
     def test_closed_forms_are_not_bounded(self):
         # Only windowed weights are refused; the scalar forms form no M-lattice.
-        # Their gammaln differences keep ~5 digits at 10^10 (1.8e-5 relative off).
+        # Their log-factorial differences keep ~5 digits at 10^10 (1.8e-5 relative off).
         assert central_binomial_weight(10**10) == pytest.approx(
             math.sqrt(2.0 / (math.pi * 10**10)), rel=1e-4
         )
@@ -140,13 +142,48 @@ class TestBinomialWeight:
 
     @pytest.mark.parametrize("n_copies", [8193, 10001, 16385])
     def test_gammaln_branch_above_exact_comb_max(self, n_copies):
-        # Above _EXACT_COMB_MAX the weight comes from gammaln, whose log terms
-        # lose ~1e-11 relative at these N (the worst case here is 1.6e-11).
+        # Above _EXACT_COMB_MAX the weight is a difference of Stirling-series
+        # log-factorials, which loses ~1e-11 relative at these N (the worst
+        # case here is 1.6e-11).
         # Loader's saddle-point form (ROADMAP item 2) would tighten this bound.
         for labels_out in (0, 20, 100):
             t = n_copies % 2 + 2 * labels_out
             exact = float(frac_binomial(n_copies, t))
             assert binomial_weight(n_copies, t / 2) == pytest.approx(exact, rel=5e-11)
+
+
+class TestLogFactorial:
+    """_log_factorial reproduces scipy.special.gammaln(k + 1), which the
+    weights used before it, so no printed digit moves."""
+
+    @pytest.fixture(scope="class")
+    def gammaln(self):
+        return pytest.importorskip("scipy.special").gammaln
+
+    def test_table_range_is_bitwise(self, gammaln):
+        k = np.arange(len(_LOG_FACTORIALS))
+        assert np.array_equal(_log_factorial(k), gammaln(k + 1.0))
+
+    def test_scalars_are_bitwise(self, gammaln):
+        rng = np.random.default_rng(28)
+        ks = [*range(3000), 10**6, 10**8 - 1, 10**8, 10**8 + 1, 10**10, 10**14,
+              *rng.integers(0, 10**12, 2000).tolist()]
+        assert [_log_factorial(k) for k in ks] == [float(gammaln(k + 1.0)) for k in ks]
+        assert _log_factorial(np.int64(12345)) == gammaln(12346.0)
+
+    def test_arrays_within_one_ulp(self, gammaln):
+        # numpy's vectorized log may round 1 ulp away from libm's (the
+        # scalar log behind gammaln), at a few integers in 10^5.
+        k = np.array([*range(300001), 10**6, 10**8 - 1, 10**8])
+        got, want = _log_factorial(k), gammaln(k + 1.0)
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
+    def test_empty_and_zero_dimensional(self, gammaln):
+        assert _log_factorial(np.array([], dtype=np.int64)).shape == (0,)
+        for k in (5, 10**6):
+            got = _log_factorial(np.array(k))
+            assert np.shape(got) == ()
+            assert abs(got - gammaln(k + 1.0)) <= np.spacing(gammaln(k + 1.0))
 
 
 class TestIrrepSpectrum:
