@@ -151,14 +151,16 @@ def _log_factorial(k):
     vectorized log may round 1 ulp away from libm's, which moves the result
     by at most 1 ulp.
     """
+    size = len(_LOG_FACTORIALS)
     if isinstance(k, (int, np.integer)):
-        return _log_factorial_scalar(int(k))
+        return _LOG_FACTORIALS.item(k) if k < size else _log_factorial_scalar(int(k))
     k = np.asarray(k)
-    small = k < len(_LOG_FACTORIALS)
-    if small.all():
+    if k.max(initial=0) < size:
         return _LOG_FACTORIALS[k]
-    table = _LOG_FACTORIALS[np.minimum(k, len(_LOG_FACTORIALS) - 1)]
-    return np.where(small, table, _stirling(k + 1.0, np.log, _TAIL_FROM_1000))
+    large = _stirling(k + 1.0, np.log, _TAIL_FROM_1000)
+    if k.min() >= size:
+        return large
+    return np.where(k < size, _LOG_FACTORIALS[np.minimum(k, size - 1)], large)
 
 
 def log_binomial_weight(n_copies: int, twice: np.ndarray | int) -> np.ndarray:
