@@ -193,8 +193,8 @@ def _cmd_oracle_check(args) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The parser of every command, built once: argparse leaves ~300 objects
-    of cyclic garbage per build, so rebuilding it on each main() call made
-    in-process callers pay full garbage collections."""
+    of cyclic garbage per build, which callers of main() in one process
+    would pay for in full garbage collections."""
     parser = _Parser(prog="clonebench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,8 +5,9 @@ Spin projections n and total-spin labels j are stored as doubled integers
 checks reduce to integer arithmetic.  All probability weights are computed in
 the log domain, as differences of log-factorials (_log_factorial), and
 exponentiated, which stays finite where direct binomials overflow; large copy
-numbers keep only the window of labels that carries weight (binomial_window).  Every path that forms weights over an M-lattice
-refuses copy numbers above _MAX_WINDOW_COPIES (_check_window_copies).
+numbers keep only the window of labels that carries weight (binomial_window).
+Every path that forms weights over an M-lattice refuses copy numbers above
+_MAX_WINDOW_COPIES (_check_window_copies).
 """
 
 from __future__ import annotations

@@ -292,8 +292,8 @@ class TestSharedParser:
         ["sweep", "--n", "2,3", "--m", "10,11", "--grid", "1,4"],
     ])
     def test_a_call_leaves_no_cyclic_garbage(self, capsys, argv):
-        # A parser built per call left ~300 cyclic objects, and so full
-        # collections, behind every in-process call.
+        # Cyclic garbage left by each call makes callers in one process pay
+        # full collections.
         assert main(argv) == 0
         gc.collect()
         gc.disable()  # so that no automatic collection hides garbage
@@ -312,7 +312,8 @@ class TestSharedParser:
 
 
 def test_cold_start_loads_no_scipy():
-    # scipy.special alone once took about half of every process start.
+    # Importing scipy.special takes about half a process start; only the
+    # benchmark's reference generator needs scipy.
     code = "import sys, clonebench.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -153,8 +153,8 @@ class TestBinomialWeight:
 
 
 class TestLogFactorial:
-    """_log_factorial reproduces scipy.special.gammaln(k + 1), which the
-    weights used before it, so no printed digit moves."""
+    """_log_factorial reproduces scipy.special.gammaln(k + 1), the
+    log-factorial the weights were first computed with."""
 
     @pytest.fixture(scope="class")
     def gammaln(self):
