@@ -134,27 +134,25 @@ def _stirling(x, log, tail_coefficients):
     return (x - 0.5) * log(x) - x + _LOG_SQRT_2PI + tail / x
 
 
-def _log_factorial_scalar(k: int) -> float:
-    if k < 12:
-        return math.log(math.factorial(k))
-    x = k + 1.0
-    return _stirling(x, math.log, _TAIL_BELOW_1000 if x < 1000.0 else _TAIL_FROM_1000)
-
-
-# Every k with x = k + 1 below 1000, so arrays need only the 3-term tail.
-_LOG_FACTORIALS = np.array([_log_factorial_scalar(k) for k in range(999)])
+# Every k with x = k + 1 below 1000, so the rest needs only the 3-term tail.
+_LOG_FACTORIALS = np.array([
+    math.log(math.factorial(k)) if k < 12 else _stirling(k + 1.0, math.log, _TAIL_BELOW_1000)
+    for k in range(999)
+])
 
 
 def _log_factorial(k):
     """log k! of a non-negative integer, or elementwise of an integer array.
 
-    Equal to gammaln(k + 1) on scalars and on k < 999; above that numpy's
-    vectorized log may round 1 ulp away from libm's, which moves the result
-    by at most 1 ulp.
+    Equal to gammaln(k + 1) on scalars and on k < 999.  On array entries
+    above that, numpy's vectorized log may round 1 ulp away from libm's,
+    which moves the result by at most 1 ulp.
     """
     size = len(_LOG_FACTORIALS)
     if isinstance(k, (int, np.integer)):
-        return _LOG_FACTORIALS.item(k) if k < size else _log_factorial_scalar(int(k))
+        if k < size:
+            return _LOG_FACTORIALS.item(k)
+        return _stirling(int(k) + 1.0, math.log, _TAIL_FROM_1000)
     k = np.asarray(k)
     if k.max(initial=0) < size:
         return _LOG_FACTORIALS[k]
