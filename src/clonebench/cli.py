@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import entangled, equatorial, optimize, quadrature, report
+from . import entangled, equatorial, optimize, quadrature, report, spin
 from .errors import ConvergenceError, DomainError
 
 logger = logging.getLogger(__name__)
@@ -74,7 +74,8 @@ def _cmd_clone_fidelity(args) -> int:
 def _cmd_mp_fidelity(args) -> int:
     evaluators = optimize.Family.named(args.family)
     state = evaluators.ansatz(args.m, args.lam)
-    fidelity = evaluators.mp_fidelity(args.n, args.m, state)
+    spin._check_window_copies(args.m)  # as the evaluator would, before the N-copy seed is built
+    fidelity = evaluators.mp_fidelity(evaluators.seed(args.n), args.m, state)
     _emit_scalar(
         args,
         {"family": args.family, "N": args.n, "M": args.m, "lambda": args.lam, "f_mp": fidelity},
@@ -100,7 +101,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize_prep(args) -> int:
     form = optimize.build_quadratic_form(args.n, args.m)
     fidelity, state = optimize.optimal_prepared_state(form, tol=args.tol)
-    replay = equatorial.mp_fidelity_exact(args.n, args.m, state)
+    replay = equatorial.mp_fidelity_exact_from_seed(form.fourier, args.m, state)
     _emit_scalar(
         args,
         {
@@ -121,14 +122,21 @@ def _cmd_appendix_check(args) -> int:
 
 
 def _worst_mp_gap(rng, family, n_max, m_max, lambdas, quadrature_fidelity, nodes_for):
-    """Largest |exact - quadrature| measure-and-prepare fidelity over 50 random cases."""
+    """Largest |exact - quadrature| measure-and-prepare fidelity over 50 random cases.
+
+    The exact side builds one seed spectrum per distinct N; each quadrature
+    forms its own weights, so it stays independent of the sums it checks.
+    """
     evaluators = optimize.Family.named(family)
-    worst = 0.0
+    cases = []
     for _ in range(50):
         n = rng.randint(1, n_max)
         m = rng.randint(n, m_max)
-        state = evaluators.ansatz(m, rng.choice(lambdas))
-        exact = evaluators.mp_fidelity(n, m, state)
+        cases.append((n, m, evaluators.ansatz(m, rng.choice(lambdas))))
+    seeds = {n: evaluators.seed(n) for n in {n for n, _, _ in cases}}
+    worst = 0.0
+    for n, m, state in cases:
+        exact = evaluators.mp_fidelity(seeds[n], m, state)
         approx = quadrature_fidelity(n, m, state, nodes_for(n, m))
         worst = max(worst, abs(exact - approx))
     return worst
@@ -152,13 +160,9 @@ def _oracle_lines(nodes_override, tol_qubit, tol_ent):
     yield "su2-class", worst_ent, tol_ent
 
     t = np.indices((13,) * 4).reshape(4, -1)  # every quadruple of doubled labels 0..12
-    counts = entangled.cg_overlap_count(*t / 2)
-    nodes = np.broadcast_to(nodes_or(2 * t.sum(axis=0) + 8), counts.shape)
-    order = np.argsort(nodes, kind="stable")  # groups keep the grid order
-    worst_cg = 0.0
-    for group in np.split(order, np.flatnonzero(np.diff(nodes[order])) + 1):
-        values = quadrature.weyl_quadrature_char4(*t[:, group] / 2, int(nodes[group[0]]))
-        worst_cg = max(worst_cg, float(np.max(np.abs(values - counts[group]))))
+    j = t / 2
+    values = quadrature.weyl_quadrature_char4(*j, nodes_or(2 * t.sum(axis=0) + 8))
+    worst_cg = float(np.max(np.abs(values - entangled.cg_overlap_count(*j))))
     yield "character-integral", worst_cg, tol_ent
 
 

@@ -139,6 +139,12 @@ def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
     return np.cumsum(diff)
 
 
+def seed_char_square(n_copies: int) -> np.ndarray:
+    """Coefficients A_0 .. A_N of the squared seed (sum_j sqrt(c_j) chi_j)^2 in chi_J:
+    the N-copy side of mp_fidelity_exact_ent, which depends on N only."""
+    return _char_square(sqrt_irrep_weights(n_copies), n_copies)
+
+
 def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) -> float:
     """Exact measure-and-prepare fidelity with the square-root-measurement seed.
 
@@ -154,9 +160,15 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     """
     _check_copies(n_copies)
     _check_window_copies(m_copies)
+    return mp_fidelity_exact_ent_from_seed(seed_char_square(n_copies), m_copies, state)
+
+
+def mp_fidelity_exact_ent_from_seed(seed: np.ndarray, m_copies: int, state: PreparedState) -> float:
+    """mp_fidelity_exact_ent for the N-copy coefficients A_0 .. A_N = seed_char_square(N),
+    which callers evaluating many states at one N build once."""
+    _check_window_copies(m_copies)
     state.check("entangled", m_copies)
-    seed = _char_square(sqrt_irrep_weights(n_copies), n_copies)
-    prepared = _char_square(prepared_char_polynomial(state), n_copies)
+    prepared = _char_square(prepared_char_polynomial(state), len(seed) - 1)
     return math.fsum(seed * prepared)
 
 

@@ -135,11 +135,17 @@ def mp_fidelity_exact(n_copies: int, m_copies: int, state: PreparedState) -> flo
     """
     _check_copies(n_copies)
     _check_window_copies(m_copies)
+    return mp_fidelity_exact_from_seed(outcome_density_fourier(n_copies), m_copies, state)
+
+
+def mp_fidelity_exact_from_seed(fourier: np.ndarray, m_copies: int, state: PreparedState) -> float:
+    """mp_fidelity_exact for the N-copy spectrum a_0 .. a_N = outcome_density_fourier(N),
+    which callers evaluating many states at one N build once."""
+    _check_window_copies(m_copies)
     state.check("qubit", m_copies)
-    a = outcome_density_fourier(n_copies)
     v = np.sqrt(state.p) * np.exp(0.5 * log_binomial_weight(m_copies, state.twice))
-    c = _lag_products(v, n_copies)
-    return math.fsum([a[0] * c[0], *(2.0 * a[1 : len(c)] * c[1:])])
+    c = _lag_products(v, len(fourier) - 1)
+    return math.fsum([fourier[0] * c[0], *(2.0 * fourier[1 : len(c)] * c[1:])])
 
 
 def sqrt_binomial_sum(n_copies: int) -> float:

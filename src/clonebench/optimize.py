@@ -54,6 +54,7 @@ from .spin import (
     _SQRT_FLOOR,
     PreparedState,
     _check_copies,
+    _check_window_copies,
     binomial_window,
     log_binomial_weight,
 )
@@ -63,14 +64,21 @@ from .spin import (
 class Family:
     """The evaluators that make up one family's N -> M cloning question.
 
-    `kernel(n, m)` builds the quadratic form whose Perron eigenvalue is the
-    family's measure-and-prepare optimum; it is None for a family without one.
+    The measure-and-prepare fidelity is a dot product of an N-copy spectrum,
+    `seed(n)`, and a prepared-state spectrum: the outcome-density
+    coefficients a_0 .. a_N for qubits, the squared seed's chi_J
+    coefficients A_0 .. A_N for entangled pairs.  `mp_fidelity(seed, m,
+    state)` and `kernel(seed, m)` take the seed spectrum, so a caller that
+    evaluates many states at one N builds it once.  `kernel` builds the
+    quadratic form whose Perron eigenvalue is the family's
+    measure-and-prepare optimum; it is None for a family without one.
     """
 
     clone_fidelity: Callable[[int, int], float]
     ansatz: Callable[[int, float], PreparedState]
-    mp_fidelity: Callable[[int, int, PreparedState], float]
-    kernel: Callable[[int, int], QuadraticForm] | None
+    seed: Callable[[int], np.ndarray]
+    mp_fidelity: Callable[[np.ndarray, int, PreparedState], float]
+    kernel: Callable[[np.ndarray, int], QuadraticForm] | None
 
     @staticmethod
     def named(name: str) -> "Family":
@@ -78,6 +86,17 @@ class Family:
         if name not in FAMILIES:
             raise DomainError(f"family must be one of {tuple(FAMILIES)}, got {name!r}")
         return FAMILIES[name]
+
+    def sweep(self, seed: np.ndarray, m_copies: int, grid) -> LambdaSweepResult:
+        """Exact ansatz fidelity at each lambda of the grid, on one seed spectrum;
+        the smallest lambda wins ties."""
+        lambdas = sorted({float(lam) for lam in grid})
+        if not lambdas:
+            raise DomainError("lambda grid must be non-empty")
+        rows = [(lam, self.mp_fidelity(seed, m_copies, self.ansatz(m_copies, lam)))
+                for lam in lambdas]
+        best_lambda, best_fidelity = max(rows, key=lambda row: row[1])  # first of equal maxima
+        return LambdaSweepResult(tuple(rows), best_lambda, best_fidelity)
 
 
 # The entries look the evaluators up in their modules at call time rather
@@ -87,13 +106,16 @@ FAMILIES: dict[str, Family] = {
     "qubit": Family(
         clone_fidelity=lambda n, m: equatorial.clone_fidelity_exact(n, m),
         ansatz=lambda m, lam: equatorial.prepared_state_ansatz(m, lam),
-        mp_fidelity=lambda n, m, state: equatorial.mp_fidelity_exact(n, m, state),
-        kernel=lambda n, m: build_quadratic_form(n, m),
+        seed=lambda n: equatorial.outcome_density_fourier(n),
+        mp_fidelity=lambda seed, m, state: equatorial.mp_fidelity_exact_from_seed(seed, m, state),
+        kernel=lambda seed, m: build_quadratic_form_from_seed(seed, m),
     ),
     "entangled": Family(
         clone_fidelity=lambda n, m: entangled.eco_clone_fidelity_exact(n, m),
         ansatz=lambda m, lam: entangled.prepared_state_ansatz_ent(m, lam),
-        mp_fidelity=lambda n, m, state: entangled.mp_fidelity_exact_ent(n, m, state),
+        seed=lambda n: entangled.seed_char_square(n),
+        mp_fidelity=lambda seed, m, state: entangled.mp_fidelity_exact_ent_from_seed(
+            seed, m, state),
         kernel=None,
     ),
 }
@@ -131,7 +153,15 @@ class QuadraticForm:
 
 
 def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
-    """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window.
+    """build_quadratic_form_from_seed for N input copies."""
+    _check_copies(n_copies)
+    _check_window_copies(m_copies)
+    return build_quadratic_form_from_seed(outcome_density_fourier(n_copies), m_copies)
+
+
+def build_quadratic_form_from_seed(fourier: np.ndarray, m_copies: int) -> QuadraticForm:
+    """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window,
+    for the outcome-density spectrum a_0 .. a_N = outcome_density_fourier(N).
 
     Weights are formed only on spin.binomial_window(M) at its default floor
     eps^2, eps = spin._SQRT_FLOOR = 1e-17: a closed-form window (Hoeffding's
@@ -153,8 +183,6 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     double precision.  The same bound holds for the residual of a window
     eigenvector embedded in the full lattice.
     """
-    _check_copies(n_copies)
-    _check_copies(m_copies)
     twice = binomial_window(m_copies)
     sqrt_b = np.exp(0.5 * log_binomial_weight(m_copies, twice))
     window = sqrt_b > _SQRT_FLOOR * sqrt_b.max()
@@ -162,7 +190,7 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
         m_copies=m_copies,
         twice=twice[window],
         sqrt_b=sqrt_b[window],
-        fourier=outcome_density_fourier(n_copies),
+        fourier=fourier,
     )
 
 
@@ -271,15 +299,7 @@ def lambda_sweep(
 ) -> LambdaSweepResult:
     """Exact measure-and-prepare fidelity at each lambda; smallest lambda wins ties."""
     evaluators = Family.named(family)
-    lambdas = sorted({float(lam) for lam in grid})
-    if not lambdas:
-        raise DomainError("lambda grid must be non-empty")
-    rows = []
-    for lam in lambdas:
-        state = evaluators.ansatz(m_copies, lam)
-        rows.append((lam, evaluators.mp_fidelity(n_copies, m_copies, state)))
-    best_lambda, best_fidelity = max(rows, key=lambda row: row[1])  # first of equal maxima
-    return LambdaSweepResult(tuple(rows), best_lambda, best_fidelity)
+    return evaluators.sweep(evaluators.seed(n_copies), m_copies, grid)
 
 
 def default_lambda_grid(m_copies: int) -> tuple[float, ...]:

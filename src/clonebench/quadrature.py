@@ -38,8 +38,16 @@ def phase_nodes_required(n_copies: int, m_copies: int) -> int:
     return 2 * (n_copies + m_copies) + 1
 
 
-def _check_nodes(nodes: int, required: int) -> None:
-    """Reject fewer than 3 nodes; warn below the exactness threshold `required`."""
+def _check_nodes(nodes, required) -> None:
+    """Reject fewer than 3 nodes; warn below the exactness threshold `required`.
+
+    Equal-shape arrays give one node count and one threshold per quadrature:
+    the fewest nodes are checked, and one warning names the quadrature
+    furthest below its threshold.
+    """
+    if np.ndim(nodes):
+        worst = np.argmin(nodes) if nodes.min() < 3 else np.argmax(required - nodes)
+        nodes, required = nodes.flat[worst], required.flat[worst]
     if nodes < 3:
         raise DomainError(f"quadrature needs at least 3 nodes, got {nodes}")
     if nodes < required:
@@ -78,23 +86,34 @@ def _class_angles(nodes: int) -> np.ndarray:
     return (np.arange(nodes) + 0.5) * math.pi / nodes
 
 
-def weyl_quadrature_char4(j1, j2, j3, j4, nodes: int):
+def weyl_quadrature_char4(j1, j2, j3, j4, nodes):
     """Haar integral of four SU(2) characters by class-angle quadrature.
 
     Uses (2/pi) integral over (0, pi) of chi chi chi chi sin^2(phi), sampled
     on the open midpoint grid; exact once nodes clears the combined bandwidth
     2(t1 + t2 + t3 + t4) + 8 in doubled labels t = 2j.  Scalar labels give a
     float; equal-shape arrays of labels give a float array, one integral per
-    quadruple, and warn if any quadruple is below its threshold.
+    quadruple.  `nodes` is one count for every quadruple, or an integer array
+    shaped like the labels with one count per quadruple; one warning covers
+    every quadruple below its threshold.
     """
     t = np.array([_doubled(j) for j in (j1, j2, j3, j4)])
     if t.min(initial=0) < 0:
         raise DomainError("total-spin labels must be nonnegative")
-    _check_nodes(nodes, 2 * int(t.sum(axis=0).max(initial=0)) + 8)
-    phi = _class_angles(nodes)
+    required = 2 * t.sum(axis=0) + 8
+    if not np.ndim(nodes):
+        _check_nodes(nodes, int(required.max(initial=8)))
+    else:
+        nodes = np.asarray(nodes)
+        if nodes.shape != required.shape or nodes.dtype.kind not in "iu":
+            raise DomainError("nodes must be an int or an integer array shaped like the labels")
+        if nodes.size:
+            _check_nodes(nodes, required)
     if t.ndim > 1:
-        return _char4_sums(t, phi)
-    # One quadruple: a product of four node vectors, cheaper than the pair tables.
+        return _char4_sums(t.reshape(4, -1), np.broadcast_to(nodes, required.shape).ravel()
+                           ).reshape(required.shape)
+    # One quadruple: a product of four node vectors, cheaper than the gathered tables.
+    phi = _class_angles(nodes)
     sin_phi = np.sin(phi)
     product = np.ones_like(phi)
     for ti in t:
@@ -102,42 +121,65 @@ def weyl_quadrature_char4(j1, j2, j3, j4, nodes: int):
     return float(2.0 / nodes * np.sum(product * sin_phi**2))
 
 
-def _char4_sums(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The char4 quadrature for a (4, ...) array of doubled labels on nodes phi.
+def _distinct_quadruples(t: np.ndarray, nodes: np.ndarray):
+    """The distinct (node count, multiset) pairs of sorted quadruples t.
+
+    Returns the node counts and the (4, Q) labels of the Q distinct pairs,
+    ordered by node count and then by label, and the index of each input
+    column among them.  Each pair is one int64 key when that fits, else the
+    columns are compared whole (slower, for very wide labels).
+    """
+    width = int(t.max(initial=0)) + 1
+    if (int(nodes.max(initial=0)) + 1) * width**4 < 2**63:
+        key = nodes.astype(np.int64)
+        for row in t:
+            key = key * width + row
+        distinct, index = np.unique(key, return_inverse=True)
+        labels = np.empty((4, len(distinct)), dtype=np.int64)
+        for row in range(3, -1, -1):
+            distinct, labels[row] = np.divmod(distinct, width)
+        return distinct, labels, index
+    distinct, index = np.unique(np.vstack((nodes, t)), axis=1, return_inverse=True)
+    return distinct[0], distinct[1:], index
+
+
+def _char4_sums(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The char4 quadrature for (4, n) doubled labels, with nodes[k] nodes for column k.
 
     The integrand is symmetric in its four labels, so each quadruple is sorted
-    and summed once per distinct multiset {a <= b <= c <= d}: as the dot
-    product of the node vectors chi_a chi_b and chi_c chi_d sin^2 over the
-    distinct pairs.  The dot products are np.einsum loops, not BLAS, so the
-    digits do not depend on the BLAS library or its thread count.  The node
-    axis is chunked and each einsum gathers at most _GATHER_MAX products per
-    side, so memory stays bounded for any node and label count.
+    and summed once per distinct (node count, multiset {a <= b <= c <= d}):
+    as the dot product of the node vectors chi_c chi_d sin^2 and chi_a chi_b.
+    Each node count gets one midpoint grid and one chi table over the labels
+    its multisets use.  The dot products are np.einsum loops, not BLAS, so
+    the digits do not depend on the BLAS library or its thread count.  The
+    node axis is chunked and each einsum gathers at most _GATHER_MAX products
+    per side, so memory stays bounded for any node and label count; each
+    row adds its chunks in node order, so its value does not depend on the
+    other quadruples in the call.
     """
-    labels, rank = np.unique(t, return_inverse=True)
-    rank = rank.reshape(4, -1)
+    t = t.copy()
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # a sorting network
-        rank[i], rank[j] = np.minimum(rank[i], rank[j]), np.maximum(rank[i], rank[j])
-    width = len(labels)
-    count = rank.shape[1]
-    pairs, pair_of = np.unique(
-        np.concatenate((rank[0] * width + rank[1], rank[2] * width + rank[3])),
-        return_inverse=True,
-    )
-    quads, quad_of = np.unique(pair_of[:count] * len(pairs) + pair_of[count:],
-                               return_inverse=True)
-    left, right = np.divmod(quads, len(pairs))
-    sums = np.zeros(len(quads))
-    for start in range(0, len(phi), _CHUNK):
-        block = phi[start : start + _CHUNK]
-        sin_phi = np.sin(block)
-        chi = np.sin(np.outer(labels + 1, block)) / sin_phi
-        pair_values = chi[pairs // width] * chi[pairs % width]
-        weighted = pair_values * sin_phi**2
-        step = max(1, _GATHER_MAX // len(block))
-        for lo in range(0, len(quads), step):
-            part = slice(lo, lo + step)
-            sums[part] += np.einsum("ij,ij->i", weighted[right[part]], pair_values[left[part]])
-    return 2.0 / len(phi) * sums[quad_of.reshape(-1)].reshape(t.shape[1:])
+        t[i], t[j] = np.minimum(t[i], t[j]), np.maximum(t[i], t[j])
+    counts, quads, index = _distinct_quadruples(t, nodes)
+    sums = np.zeros(len(counts))
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], len(counts)]):
+        count = int(counts[lo])
+        labels, rank = np.unique(quads[:, lo:hi], return_inverse=True)
+        rank = rank.reshape(4, -1)
+        phi = _class_angles(count)
+        for start in range(0, count, _CHUNK):
+            block = phi[start : start + _CHUNK]
+            sin_phi = np.sin(block)
+            chi = np.sin(np.outer(labels + 1, block)) / sin_phi
+            sin2 = sin_phi**2
+            step = max(1, _GATHER_MAX // len(block))
+            for first in range(0, hi - lo, step):
+                a, b, c, d = rank[:, first : first + step]
+                sums[lo + first : lo + first + len(a)] += np.einsum(
+                    "ij,ij->i", chi[c] * chi[d] * sin2, chi[a] * chi[b])
+        sums[lo:hi] *= 2.0 / count
+    return sums[index]
 
 
 def _char_values(poly: tuple[np.ndarray, np.ndarray], phi: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ therefore is the one column exempt from bit-identical reproducibility.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -63,6 +62,8 @@ class SweepConfig:
         return (float(m_copies) ** self.lambda_exponent,)
 
     def digest(self) -> str:
+        import hashlib  # here, not at the top: ~3.5 ms of every process start
+
         payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -99,22 +100,24 @@ def relative_gap(n_copies: int, m_copies: int, family: str = "qubit", lambdas=No
     exact gap, to the solver's tol.  For the entangled family F_est is the
     best ansatz value, an achievable fidelity, so delta bounds the gap from
     above.  `f_naive` is the lambda = 1 ansatz fidelity, taken from the sweep
-    when the grid holds 1.
+    when the grid holds 1.  The row builds the family's seed spectrum once
+    and shares it with the sweep, the kernel and the naive value.
     """
     start = time.perf_counter()
     evaluators = optimize.Family.named(family)
     if lambdas is None:
         lambdas = optimize.default_lambda_grid(m_copies)
-    sweep = optimize.lambda_sweep(n_copies, m_copies, lambdas, family=family)
+    seed = evaluators.seed(n_copies)
+    sweep = evaluators.sweep(seed, m_copies, lambdas)
     f_clon = evaluators.clone_fidelity(n_copies, m_copies)
     f_eig = None
     f_est = sweep.best_fidelity
     if evaluators.kernel is not None:
-        f_eig, _ = optimize.optimal_prepared_state(evaluators.kernel(n_copies, m_copies))
+        f_eig, _ = optimize.optimal_prepared_state(evaluators.kernel(seed, m_copies))
         f_est = max(f_est, f_eig)
     naive = dict(sweep.rows).get(1.0)
     if naive is None:
-        naive = evaluators.mp_fidelity(n_copies, m_copies, evaluators.ansatz(m_copies, 1.0))
+        naive = evaluators.mp_fidelity(seed, m_copies, evaluators.ansatz(m_copies, 1.0))
     return SweepRow(
         family=family,
         n_copies=n_copies,
@@ -174,10 +177,11 @@ def appendix_check(n_copies: int, lam: float, m_values) -> list[AppendixRow]:
     """
     s1 = equatorial.sqrt_binomial_sum(n_copies)
     s2 = equatorial.sqrt_binomial_second_moment(n_copies)
+    fourier = equatorial.outcome_density_fourier(n_copies)
     rows = []
     for m_copies in sorted(set(m_values)):
         state = equatorial.prepared_state_ansatz(m_copies, lam)
-        f_exact = equatorial.mp_fidelity_exact(n_copies, m_copies, state)
+        f_exact = equatorial.mp_fidelity_exact_from_seed(fourier, m_copies, state)
         prefactor = math.sqrt(2.0 * lam / (math.pi * m_copies * (1.0 + lam)))
         f_zeroth = prefactor * s1 * s1
         f_second = prefactor * s1 * (s1 - (1.0 + lam) / (2.0 * math.pi * m_copies) * s2)

@@ -1,12 +1,14 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clonebench import QuadratureWarning, cli, quadrature
@@ -231,8 +233,10 @@ class TestOracleCheck:
         assert [line.split(": ")[1] for line in lines] == flagged
         assert all(line.startswith("warning: ") for line in lines)
 
-    @pytest.mark.parametrize("nodes, calls", [(None, 49), (40, 1)])
-    def test_one_char4_call_per_node_count(self, monkeypatch, nodes, calls):
+    @pytest.mark.parametrize("nodes", [None, 40])
+    def test_one_char4_call_per_oracle_check(self, monkeypatch, nodes):
+        # One call over all 13^4 quadruples, with one node count per quadruple
+        # by default and one for all of them under --nodes.
         seen = []
         weyl = quadrature.weyl_quadrature_char4
 
@@ -245,8 +249,19 @@ class TestOracleCheck:
             warnings.simplefilter("ignore", QuadratureWarning)
             stages = list(cli._oracle_lines(nodes, 1e-10, 1e-9))
         assert stages[2][0] == "character-integral"
-        assert len(seen) == calls
-        assert len(set(seen)) == calls
+        assert len(seen) == 1
+        assert np.shape(seen[0]) == (() if nodes else (13**4,))
+
+    @pytest.mark.parametrize("family, n_max, m_max", [("qubit", 6, 256), ("entangled", 4, 24)])
+    def test_one_seed_spectrum_per_distinct_n(self, seed_builds, family, n_max, m_max):
+        rng = random.Random(170)
+        cli._worst_mp_gap(rng, family, n_max, m_max, [1.0, 2.0],
+                          lambda n, m, state, nodes: 0.0, lambda n, m: 3)
+        assert len(seed_builds) == len(set(seed_builds)) <= n_max
+
+    def test_optimize_prep_builds_one_seed_spectrum(self, seed_builds, capsys):
+        assert main(["optimize-prep", "--n", "6", "--m", "256"]) == 0
+        assert seed_builds == [6]
 
 
 class TestOracleCheckTolerance:
@@ -280,6 +295,18 @@ class TestOracleCheckTolerance:
         assert "configuration error" in capsys.readouterr().err
 
 
+def _assert_no_cyclic_garbage(argv, status):
+    """A warm main(argv) returns `status` and leaves nothing for the collector."""
+    assert main(argv) == status
+    gc.collect()
+    gc.disable()  # so that no automatic collection hides garbage
+    try:
+        assert main(argv) == status
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestSharedParser:
     """main() parses with one parser, built on the first call."""
 
@@ -294,14 +321,14 @@ class TestSharedParser:
     def test_a_call_leaves_no_cyclic_garbage(self, capsys, argv):
         # Cyclic garbage left by each call makes callers in one process pay
         # full collections.
-        assert main(argv) == 0
-        gc.collect()
-        gc.disable()  # so that no automatic collection hides garbage
-        try:
-            assert main(argv) == 0
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        _assert_no_cyclic_garbage(argv, 0)
+
+    @pytest.mark.parametrize("argv, status", [
+        (["oracle-check"], 0),
+        (["oracle-check", "--nodes", "40"], 2),
+    ])
+    def test_an_oracle_check_leaves_no_cyclic_garbage(self, capsys, argv, status):
+        _assert_no_cyclic_garbage(argv, status)
 
     def test_no_value_carries_over_between_calls(self, capsys):
         argv = ["mp-fidelity", "--n", "1", "--m", "1", "--format", "csv"]
@@ -312,9 +339,11 @@ class TestSharedParser:
 
 
 def test_cold_start_loads_no_scipy():
-    # Importing scipy.special takes about half a process start; only the
-    # benchmark's reference generator needs scipy.
-    code = "import sys, clonebench.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # Importing scipy.special takes about half a process start, and hashlib
+    # ~3.5 ms of it; only the benchmark's reference generator needs scipy, and
+    # only a JSON sweep report's config hash needs hashlib.
+    code = ("import sys, clonebench.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')])")
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})

@@ -183,6 +183,61 @@ class TestWeylQuadratureArrays:
             warnings.simplefilter("error", QuadratureWarning)
             weyl_quadrature_char4(j, j, j, j, 40)
 
+    def test_node_count_per_quadruple_matches_one_call_per_count(self):
+        # One call with each quadruple's own node count gives, bit for bit,
+        # what one call per node count gives: 49 counts over all 13^4 quadruples.
+        t = _grid()
+        nodes = 2 * t.sum(axis=0) + 8
+        values = weyl_quadrature_char4(*t / 2, nodes)
+        counts = np.unique(nodes)
+        assert len(counts) == 49
+        for count in counts:
+            group = nodes == count
+            assert np.array_equal(values[group],
+                                  weyl_quadrature_char4(*t[:, group] / 2, int(count)))
+
+    def test_node_count_per_quadruple_keeps_label_order_out(self):
+        t = _grid()[:, ::37]
+        nodes = 2 * t.sum(axis=0) + 8 + np.arange(t.shape[1]) % 3
+        values = weyl_quadrature_char4(*t / 2, nodes)
+        for perm in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+            assert np.array_equal(weyl_quadrature_char4(*t[list(perm)] / 2, nodes), values)
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([8, 39, 16], "39 nodes is below the exactness threshold 40"),
+        ([7, 39, 11], "11 nodes is below the exactness threshold 16"),  # the largest shortfall
+    ])
+    def test_one_warning_for_quadruples_below_their_own_threshold(self, nodes, message):
+        j = np.array([0.0, 2.0, 0.5])  # thresholds 8, 40 and 16
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", QuadratureWarning)
+            weyl_quadrature_char4(j, j, j, j, np.array(nodes))
+        assert [str(w.message) for w in caught] == [message]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            values = weyl_quadrature_char4(j, j, j, j, np.array([8, 40, 16]))
+        assert values == pytest.approx([1.0, 5.0, 2.0], abs=1e-12)
+
+    @pytest.mark.parametrize("nodes", [np.array([8, 2, 40]), np.array([8, 40]),
+                                       np.array([8.0, 40.0, 12.0])])
+    def test_bad_node_array_rejected(self, nodes):
+        j = np.array([0.0, 2.0, 0.5])
+        with pytest.raises(DomainError):
+            weyl_quadrature_char4(j, j, j, j, nodes)
+
+    def test_labels_too_wide_for_one_key(self):
+        # 40001^4 labels by 8 node counts overflow an int64 key; such a batch
+        # is deduplicated column by column, with the same per-row sums.
+        t = np.array([[0, 2, 40000, 40000], [1, 3, 40000, 1], [0, 0, 39999, 1],
+                      [1, 1, 1, 40000]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            values = weyl_quadrature_char4(*t / 2, 7)
+            for k, quadruple in enumerate(t.T):
+                assert values[k] == weyl_quadrature_char4(*t[:, k : k + 1] / 2, 7)[0]
+                assert values[k] == pytest.approx(
+                    weyl_quadrature_char4(*(int(x) / 2 for x in quadruple), 7), abs=1e-12)
+
     def test_memory_is_bounded_by_the_chunk(self):
         # One group at 20000 nodes, as `oracle-check --nodes 20000` forms it.  A
         # Gram formed over the whole node axis at once needs > 16 MB per factor.

@@ -95,34 +95,44 @@ class TestRunSweep:
 
     def test_naive_value_taken_from_grid(self, monkeypatch):
         calls = []
-        evaluate = entangled.mp_fidelity_exact_ent
+        evaluate = entangled.mp_fidelity_exact_ent_from_seed
 
-        def counted(n, m, state):
-            calls.append((n, m))
-            return evaluate(n, m, state)
+        def counted(seed, m, state):
+            calls.append((len(seed) - 1, m))
+            return evaluate(seed, m, state)
 
-        monkeypatch.setattr(entangled, "mp_fidelity_exact_ent", counted)
+        monkeypatch.setattr(entangled, "mp_fidelity_exact_ent_from_seed", counted)
         (row,) = run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(1.0, 4.0))).rows
         assert len(calls) == 2
-        assert row.f_naive == evaluate(2, 64, entangled.prepared_state_ansatz_ent(64, 1.0))
+        assert row.f_naive == entangled.mp_fidelity_exact_ent(
+            2, 64, entangled.prepared_state_ansatz_ent(64, 1.0))
         calls.clear()
         run_sweep(SweepConfig("entangled", (2,), (64,), lambda_grid=(4.0,)))
         assert len(calls) == 2  # without lambda = 1 in the grid, one extra naive call
 
     @pytest.mark.parametrize("family, forms", [("qubit", 1), ("entangled", 0)])
     def test_kernel_built_through_the_module_attribute(self, monkeypatch, family, forms):
-        # A tracer rebinds optimize.build_quadratic_form; the family's kernel must run it.
+        # A tracer rebinds optimize.build_quadratic_form_from_seed; the family's
+        # kernel must run it.
         calls = []
-        build = optimize.build_quadratic_form
+        build = optimize.build_quadratic_form_from_seed
 
-        def counted(n, m):
-            calls.append((n, m))
-            return build(n, m)
+        def counted(fourier, m):
+            calls.append((len(fourier) - 1, m))
+            return build(fourier, m)
 
-        monkeypatch.setattr(optimize, "build_quadratic_form", counted)
+        monkeypatch.setattr(optimize, "build_quadratic_form_from_seed", counted)
         (row,) = run_sweep(SweepConfig(family, (2,), (64,), lambda_grid=(1.0, 4.0))).rows
         assert calls == [(2, 64)] * forms
         assert (row.f_eig is None) == (forms == 0)
+
+    @pytest.mark.parametrize("family", ["qubit", "entangled"])
+    @pytest.mark.parametrize("lambdas", [None, (2.0, 8.0)], ids=["default-grid", "grid-without-1"])
+    def test_one_seed_spectrum_per_row(self, seed_builds, family, lambdas):
+        # The sweep, the kernel and the naive value share the row's seed
+        # spectrum; the default grid at M = 4096 holds 13 lambdas.
+        relative_gap(6, 4096, family, lambdas)
+        assert seed_builds == [6]
 
     @pytest.mark.parametrize("family", ["qubit", "entangled"])
     @pytest.mark.parametrize("rule", [
