@@ -7,7 +7,11 @@ written by make_golden.py, and any edit to it is a change of the contract.
 The `oracle-check` gap digits (e.g. `2.867e-14` for the character-integral
 stage) are summation noise of the quadratures.  They are summed by numpy loops
 in a fixed order, not by BLAS, so the file is the same under any BLAS thread
-count (checked with OPENBLAS_NUM_THREADS=1 and the default on two CPUs).
+count (checked with OPENBLAS_NUM_THREADS=1 and the default on two CPUs).  The
+character-integral stage is one call over the 13^4 grid: each quadruple's
+value is the einsum of its sorted labels' node products, added chunk by chunk
+(1024 nodes) in node order, so it is the same double whichever other
+quadruples share the call or its node count.
 """
 
 import json
