@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from . import entangled, equatorial, optimize, quadrature, report, spin
+from . import entangled, equatorial, optimize, quadrature, report
 from .errors import ConvergenceError, DomainError
 
 logger = logging.getLogger(__name__)
@@ -74,8 +74,7 @@ def _cmd_clone_fidelity(args) -> int:
 def _cmd_mp_fidelity(args) -> int:
     evaluators = optimize.Family.named(args.family)
     state = evaluators.ansatz(args.m, args.lam)
-    spin._check_window_copies(args.m)  # as the evaluator would, before the N-copy seed is built
-    fidelity = evaluators.mp_fidelity(evaluators.seed(args.n), args.m, state)
+    fidelity = evaluators.mp_fidelity(evaluators.seed_for(args.n, args.m), args.m, state)
     _emit_scalar(
         args,
         {"family": args.family, "N": args.n, "M": args.m, "lambda": args.lam, "f_mp": fidelity},

@@ -68,17 +68,18 @@ class Family:
     `seed(n)`, and a prepared-state spectrum: the outcome-density
     coefficients a_0 .. a_N for qubits, the squared seed's chi_J
     coefficients A_0 .. A_N for entangled pairs.  `mp_fidelity(seed, m,
-    state)` and `kernel(seed, m)` take the seed spectrum, so a caller that
-    evaluates many states at one N builds it once.  `kernel` builds the
-    quadratic form whose Perron eigenvalue is the family's
-    measure-and-prepare optimum; it is None for a family without one.
+    state)` takes the seed spectrum, so a caller that evaluates many states
+    at one N builds it once.  `kernel(n, m)` builds the quadratic form whose
+    Perron eigenvalue is the family's measure-and-prepare optimum, and
+    carries the qubit seed as its `fourier`; it is None for a family
+    without one.
     """
 
     clone_fidelity: Callable[[int, int], float]
     ansatz: Callable[[int, float], PreparedState]
     seed: Callable[[int], np.ndarray]
     mp_fidelity: Callable[[np.ndarray, int, PreparedState], float]
-    kernel: Callable[[np.ndarray, int], QuadraticForm] | None
+    kernel: Callable[[int, int], QuadraticForm] | None
 
     @staticmethod
     def named(name: str) -> "Family":
@@ -86,6 +87,18 @@ class Family:
         if name not in FAMILIES:
             raise DomainError(f"family must be one of {tuple(FAMILIES)}, got {name!r}")
         return FAMILIES[name]
+
+    def seed_for(self, n_copies: int, *m_copies: int) -> np.ndarray:
+        """seed(n_copies) for N -> M questions at each M of m_copies.
+
+        N and every M are checked first, as the evaluators check them, so an
+        M above spin._MAX_WINDOW_COPIES is refused before the O(N^2) seed is
+        built.
+        """
+        _check_copies(n_copies)
+        for m in m_copies:
+            _check_window_copies(m)
+        return self.seed(n_copies)
 
     def sweep(self, seed: np.ndarray, m_copies: int, grid) -> LambdaSweepResult:
         """Exact ansatz fidelity at each lambda of the grid, on one seed spectrum;
@@ -108,7 +121,7 @@ FAMILIES: dict[str, Family] = {
         ansatz=lambda m, lam: equatorial.prepared_state_ansatz(m, lam),
         seed=lambda n: equatorial.outcome_density_fourier(n),
         mp_fidelity=lambda seed, m, state: equatorial.mp_fidelity_exact_from_seed(seed, m, state),
-        kernel=lambda seed, m: build_quadratic_form_from_seed(seed, m),
+        kernel=lambda n, m: build_quadratic_form(n, m),
     ),
     "entangled": Family(
         clone_fidelity=lambda n, m: entangled.eco_clone_fidelity_exact(n, m),
@@ -153,15 +166,7 @@ class QuadraticForm:
 
 
 def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
-    """build_quadratic_form_from_seed for N input copies."""
-    _check_copies(n_copies)
-    _check_window_copies(m_copies)
-    return build_quadratic_form_from_seed(outcome_density_fourier(n_copies), m_copies)
-
-
-def build_quadratic_form_from_seed(fourier: np.ndarray, m_copies: int) -> QuadraticForm:
-    """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window,
-    for the outcome-density spectrum a_0 .. a_N = outcome_density_fourier(N).
+    """Kernel A_{mm'} = sqrt(b_{M,m} b_{M,m'}) a_{m'-m} on the weighted window.
 
     Weights are formed only on spin.binomial_window(M) at its default floor
     eps^2, eps = spin._SQRT_FLOOR = 1e-17: a closed-form window (Hoeffding's
@@ -183,6 +188,8 @@ def build_quadratic_form_from_seed(fourier: np.ndarray, m_copies: int) -> Quadra
     double precision.  The same bound holds for the residual of a window
     eigenvector embedded in the full lattice.
     """
+    _check_copies(n_copies)
+    _check_copies(m_copies)
     twice = binomial_window(m_copies)
     sqrt_b = np.exp(0.5 * log_binomial_weight(m_copies, twice))
     window = sqrt_b > _SQRT_FLOOR * sqrt_b.max()
@@ -190,7 +197,7 @@ def build_quadratic_form_from_seed(fourier: np.ndarray, m_copies: int) -> Quadra
         m_copies=m_copies,
         twice=twice[window],
         sqrt_b=sqrt_b[window],
-        fourier=fourier,
+        fourier=outcome_density_fourier(n_copies),
     )
 
 
@@ -299,7 +306,7 @@ def lambda_sweep(
 ) -> LambdaSweepResult:
     """Exact measure-and-prepare fidelity at each lambda; smallest lambda wins ties."""
     evaluators = Family.named(family)
-    return evaluators.sweep(evaluators.seed(n_copies), m_copies, grid)
+    return evaluators.sweep(evaluators.seed_for(n_copies, m_copies), m_copies, grid)
 
 
 def default_lambda_grid(m_copies: int) -> tuple[float, ...]:

@@ -124,23 +124,27 @@ def weyl_quadrature_char4(j1, j2, j3, j4, nodes):
 def _distinct_quadruples(t: np.ndarray, nodes: np.ndarray):
     """The distinct (node count, multiset) pairs of sorted quadruples t.
 
-    Returns the node counts and the (4, Q) labels of the Q distinct pairs,
-    ordered by node count and then by label, and the index of each input
-    column among them.  Each pair is one int64 key when that fits, else the
-    columns are compared whole (slower, for very wide labels).
+    Returns one column index per distinct pair, ordered by node count and
+    then by label, and the index of each column's pair among them.  The node
+    counts and the four label rows are folded into one int64 key; where a
+    fold could overflow, the key and the row are first replaced by their
+    ranks, which keep the order and are below the column count.
     """
-    width = int(t.max(initial=0)) + 1
-    if (int(nodes.max(initial=0)) + 1) * width**4 < 2**63:
-        key = nodes.astype(np.int64)
-        for row in t:
-            key = key * width + row
-        distinct, index = np.unique(key, return_inverse=True)
-        labels = np.empty((4, len(distinct)), dtype=np.int64)
-        for row in range(3, -1, -1):
-            distinct, labels[row] = np.divmod(distinct, width)
-        return distinct, labels, index
-    distinct, index = np.unique(np.vstack((nodes, t)), axis=1, return_inverse=True)
-    return distinct[0], distinct[1:], index
+    key = np.zeros(t.shape[1], dtype=np.int64)
+    span = 1  # every key is below span
+    for row in (nodes.astype(np.int64), *t):
+        width = int(row.max(initial=0)) + 1
+        if span * width >= 2**63:
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+            distinct, row = np.unique(row, return_inverse=True)
+            width = len(distinct)
+        key = key * width + row
+        span *= width
+    distinct, index = np.unique(key, return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[index] = np.arange(len(index))
+    return first, index
 
 
 def _char4_sums(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -160,7 +164,8 @@ def _char4_sums(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     t = t.copy()
     for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):  # a sorting network
         t[i], t[j] = np.minimum(t[i], t[j]), np.maximum(t[i], t[j])
-    counts, quads, index = _distinct_quadruples(t, nodes)
+    first, index = _distinct_quadruples(t, nodes)
+    counts, quads = nodes[first], t[:, first]
     sums = np.zeros(len(counts))
     starts = np.flatnonzero(np.diff(counts, prepend=-1))
     for lo, hi in zip(starts, [*starts[1:], len(counts)]):

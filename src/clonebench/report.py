@@ -107,13 +107,15 @@ def relative_gap(n_copies: int, m_copies: int, family: str = "qubit", lambdas=No
     evaluators = optimize.Family.named(family)
     if lambdas is None:
         lambdas = optimize.default_lambda_grid(m_copies)
-    seed = evaluators.seed(n_copies)
+    # A family with a kernel takes its seed from the form, which carries it.
+    form = evaluators.kernel(n_copies, m_copies) if evaluators.kernel is not None else None
+    seed = evaluators.seed_for(n_copies, m_copies) if form is None else form.fourier
     sweep = evaluators.sweep(seed, m_copies, lambdas)
     f_clon = evaluators.clone_fidelity(n_copies, m_copies)
     f_eig = None
     f_est = sweep.best_fidelity
-    if evaluators.kernel is not None:
-        f_eig, _ = optimize.optimal_prepared_state(evaluators.kernel(seed, m_copies))
+    if form is not None:
+        f_eig, _ = optimize.optimal_prepared_state(form)
         f_est = max(f_est, f_eig)
     naive = dict(sweep.rows).get(1.0)
     if naive is None:
@@ -175,11 +177,12 @@ def appendix_check(n_copies: int, lam: float, m_values) -> list[AppendixRow]:
     S2 = sum n^2 sqrt(b_{N,n}); the relative gap to the zeroth order scales
     like N(1+lambda)/M, so it should roughly halve when M doubles.
     """
+    m_values = sorted(set(m_values))
+    fourier = optimize.Family.named("qubit").seed_for(n_copies, *m_values)
     s1 = equatorial.sqrt_binomial_sum(n_copies)
     s2 = equatorial.sqrt_binomial_second_moment(n_copies)
-    fourier = equatorial.outcome_density_fourier(n_copies)
     rows = []
-    for m_copies in sorted(set(m_values)):
+    for m_copies in m_values:
         state = equatorial.prepared_state_ansatz(m_copies, lam)
         f_exact = equatorial.mp_fidelity_exact_from_seed(fourier, m_copies, state)
         prefactor = math.sqrt(2.0 * lam / (math.pi * m_copies * (1.0 + lam)))

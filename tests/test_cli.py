@@ -175,6 +175,24 @@ class TestExitStatuses:
                 assert captured.err.startswith("fatal: out of memory")
                 assert captured.err.count("\n") == 1 and "100000000" in captured.err
 
+    # Building the N-copy seed spectrum takes O(N^2) time and GBs at N = 10^8:
+    # every command that builds one refuses an M above the bound before it.
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--family", "qubit", "--grid", "100"],
+        ["sweep", "--family", "entangled", "--grid", "100"],
+        ["mp-fidelity", "--family", "qubit", "--lambda", "100"],
+        ["mp-fidelity", "--family", "entangled", "--lambda", "100"],
+        ["appendix-check", "--lambda", "100"],
+    ], ids=["sweep-qubit", "sweep-entangled", "mp-qubit", "mp-entangled", "appendix"])
+    def test_copy_number_above_the_bound_is_refused_before_the_seed(self, capsys, argv):
+        argv = [*argv, "--n", "100000002", "--m", "100000002"]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fatal: out of memory") and "100000000" in captured.err
+
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"])
         assert code == 2

@@ -227,7 +227,7 @@ class TestWeylQuadratureArrays:
 
     def test_labels_too_wide_for_one_key(self):
         # 40001^4 labels by 8 node counts overflow an int64 key; such a batch
-        # is deduplicated column by column, with the same per-row sums.
+        # is ranked before the last fold, with the same per-row sums.
         t = np.array([[0, 2, 40000, 40000], [1, 3, 40000, 1], [0, 0, 39999, 1],
                       [1, 1, 1, 40000]])
         with warnings.catch_warnings():
@@ -237,6 +237,17 @@ class TestWeylQuadratureArrays:
                 assert values[k] == weyl_quadrature_char4(*t[:, k : k + 1] / 2, 7)[0]
                 assert values[k] == pytest.approx(
                     weyl_quadrature_char4(*(int(x) / 2 for x in quadruple), 7), abs=1e-12)
+
+    def test_wide_labels_keep_their_node_counts_apart(self):
+        # With labels 2^16 - 1 the node count's place in a packed key is 2^64,
+        # which wraps to 0: an unranked key would merge the 7- and 8-node rows.
+        j = np.full((4, 2), (2**16 - 1) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureWarning)
+            values = weyl_quadrature_char4(*j, np.array([7, 8]))
+            alone = [weyl_quadrature_char4(*j[:, :1], count)[0] for count in (7, 8)]
+        assert values[0] != values[1]
+        assert values.tolist() == alone
 
     def test_memory_is_bounded_by_the_chunk(self):
         # One group at 20000 nodes, as `oracle-check --nodes 20000` forms it.  A

@@ -112,16 +112,15 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("family, forms", [("qubit", 1), ("entangled", 0)])
     def test_kernel_built_through_the_module_attribute(self, monkeypatch, family, forms):
-        # A tracer rebinds optimize.build_quadratic_form_from_seed; the family's
-        # kernel must run it.
+        # A tracer rebinds optimize.build_quadratic_form; the family's kernel must run it.
         calls = []
-        build = optimize.build_quadratic_form_from_seed
+        build = optimize.build_quadratic_form
 
-        def counted(fourier, m):
-            calls.append((len(fourier) - 1, m))
-            return build(fourier, m)
+        def counted(n, m):
+            calls.append((n, m))
+            return build(n, m)
 
-        monkeypatch.setattr(optimize, "build_quadratic_form_from_seed", counted)
+        monkeypatch.setattr(optimize, "build_quadratic_form", counted)
         (row,) = run_sweep(SweepConfig(family, (2,), (64,), lambda_grid=(1.0, 4.0))).rows
         assert calls == [(2, 64)] * forms
         assert (row.f_eig is None) == (forms == 0)
