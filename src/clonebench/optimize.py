@@ -201,30 +201,67 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
     )
 
 
-def _start_vector(form: QuadraticForm) -> np.ndarray:
-    """The large-M Perron vector q ~ exp(-m^2 / 2 s^2), plus 1e-14 sqrt(b).
+def _perron_width2(form: QuadraticForm) -> float:
+    """s^2 = sqrt(M A2 / A0) / 2, the squared width of the kernel's large-M
+    Perron vector exp(-m^2 / 2 s^2), for A0 = sum_k a_k and A2 = sum_k k^2 a_k
+    over the lags -N .. N.
 
-    Near the centre the kernel acts as b_max [A0 (1 - 2 m^2/M) q + A2 q''/2]
-    with A0 = sum_k a_k and A2 = sum_k k^2 a_k over the lags -N .. N: a
-    harmonic oscillator whose ground state is this Gaussian, with
-    s^2 = sqrt(M A2 / A0) / 2.  Its width grows like M^(1/4), where sqrt(b)
-    grows like M^(1/2).  The Gaussian underflows to 0 at the window's edges;
-    the small sqrt(b) part keeps every entry, and so every Ritz vector
-    entry, positive.
+    Near the centre the kernel acts as b_max [A0 (1 - 2 m^2/M) q + A2 q''/2]:
+    a harmonic oscillator whose ground state is this Gaussian.  Its width
+    grows like M^(1/4), where sqrt(b) grows like M^(1/2).
     """
     lags = np.arange(len(form.fourier))
     a0 = 2.0 * np.sum(form.fourier) - form.fourier[0]
     a2 = 2.0 * np.sum(lags * lags * form.fourier)
-    s2 = 0.5 * math.sqrt(form.m_copies * a2 / a0)
+    return 0.5 * math.sqrt(form.m_copies * a2 / a0)
+
+
+def _start_vector(form: QuadraticForm) -> np.ndarray:
+    """The large-M Perron vector q ~ exp(-m^2 / 2 s^2), plus 1e-14 sqrt(b).
+
+    The Gaussian (see _perron_width2) underflows to 0 at the window's edges;
+    the small sqrt(b) part keeps every entry, and so every Ritz vector
+    entry, positive.
+    """
     m = form.twice / 2.0
-    gauss = np.exp(-m * m / (2.0 * s2))
+    gauss = np.exp(-m * m / (2.0 * _perron_width2(form)))
     start = gauss / np.linalg.norm(gauss) + 1e-14 * form.sqrt_b / np.linalg.norm(form.sqrt_b)
     return start / np.linalg.norm(start)
 
 
+# Half-width of the Perron window in Gaussian widths s: the Perron vector's
+# amplitude there, e^-72 ~ 5e-32 of its peak, is below double precision.
+_PERRON_WIDTHS = 12
+
+
+def _perron_window(form: QuadraticForm) -> slice:
+    """The labels |m| <= 12 s + N of the kernel's window, where the Perron
+    vector lives, or the whole window when that cut would keep more than half
+    of it."""
+    reach = _PERRON_WIDTHS * math.sqrt(_perron_width2(form)) + len(form.fourier) - 1
+    keep = np.flatnonzero(np.abs(form.twice) <= 2.0 * reach)
+    if 2 * len(keep) > form.dimension:
+        return slice(0, form.dimension)
+    return slice(int(keep[0]), int(keep[-1]) + 1)
+
+
 def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[float, PreparedState]:
     """Dominant eigenpair of the fidelity kernel by Lanczos with full
-    reorthogonalization.
+    reorthogonalization, solved on the Perron window and certified on the
+    kernel's whole window.
+
+    The Perron vector is about M^(1/4) labels wide (see _perron_width2), the
+    kernel's window about 12.5 sqrt(M), so the Krylov basis is built on the
+    Perron window W' (_perron_window: the labels |m| <= 12 s + N, where the
+    Gaussian has fallen below e^-72) whenever W' is at most half of the
+    window W.  W' carries a principal submatrix of A_W, so its eigenvalue
+    lambda_W' is at most lambda_W.  The result is certified on W: the state,
+    zero outside W', must have ||A_W q - rho q|| <= `tol` * rho, from one
+    matvec on W, which is the guarantee a solve on W gives, and
+    build_quadratic_form's tail bound carries it to the whole lattice.  When
+    the residual inside W' meets `tol` but the one on W does not (W' leaks),
+    or the solve on W' fails, the same Lanczos runs again on W, so a
+    ConvergenceError always reports the solve on W.
 
     The Krylov basis starts from the Gaussian exp(-m^2 / 2 s^2), with
     s^2 = sqrt(M A2 / A0) / 2 for A0 = sum_k a_k and A2 = sum_k k^2 a_k: the
@@ -235,32 +272,51 @@ def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[flo
     (N, M) = (1, 100001), the Gaussian takes 49.  The basis grows by at most
     _MAX_STEPS = 300 steps (so at most that many window vectors are held).
     Every few steps the tridiagonal projection is solved with np.linalg.eigh;
-    once the Ritz estimate allows it, the residual ||A q - rho q|| of the Ritz
-    vector q (made positive and normalized) is measured with a matvec, and
-    the solve stops when it is at most `tol` * rho.  So `tol` bounds the
-    relative residual, not the change of rho per step; the eigenvalue error is then at most `tol` * rho, and
-    about the residual's square over the spectral gap.  The returned
-    fidelity rho is the Rayleigh quotient of the returned state, so
+    once the Ritz estimate allows it, the residual of the Ritz vector q (made
+    positive and normalized) is measured with a matvec, and the solve stops
+    when it is at most `tol` * rho.  So `tol` bounds the relative residual,
+    not the change of rho per step; the eigenvalue error is then at most
+    `tol` * rho, and about the residual's square over the spectral gap.  The
+    returned fidelity rho is the Rayleigh quotient of the returned state, so
     replaying the state through the exact evaluator reproduces it.  The
-    state's weights sit on the kernel's window of the M-lattice.
+    state's weights sit on the labels the solve ran on, W' or W, and are
+    positive there.
     ConvergenceError is raised when _MAX_STEPS steps, or the whole Krylov
     space, do not meet `tol`; a negative or NaN `tol` can never be met and
     raises at once.
     """
     if not tol >= 0:
         raise ConvergenceError(f"tolerance {tol} can never be met", math.nan, 0)
-    dim = form.dimension
+    whole = slice(0, form.dimension)
+    cut = _perron_window(form)
+    if cut != whole:
+        try:
+            result = _lanczos(form, cut, tol)
+            if result is not None:
+                return result
+        except ConvergenceError:
+            pass  # the solve on W below reports it
+    return _lanczos(form, whole, tol)
+
+
+def _lanczos(form: QuadraticForm, cut: slice, tol: float) -> tuple[float, PreparedState] | None:
+    """Lanczos on the labels `cut` of the form's window, each Ritz vector
+    checked on the whole window; None when the residual inside `cut` meets
+    `tol` but the one on the whole window does not."""
+    sub = QuadraticForm(form.m_copies, form.twice[cut], form.sqrt_b[cut], form.fourier)
+    dim = sub.dimension
     steps = min(_MAX_STEPS, dim)
     # Rows are written as the basis grows; untouched rows cost no memory.
     basis = np.empty((steps + 1, dim))
     alpha = np.zeros(steps)
     beta = np.zeros(steps)
-    basis[0] = _start_vector(form)
+    basis[0] = _start_vector(sub)
+    embedded = np.zeros(form.dimension)
     residual = math.nan
     iterations = 0
     for k in range(steps):
         iterations = k + 1
-        w = form.matvec(basis[k])
+        w = sub.matvec(basis[k])
         if k > 0:
             w -= beta[k - 1] * basis[k - 1]
         alpha[k] = basis[k] @ w
@@ -275,12 +331,16 @@ def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[flo
             if exhausted or beta[k] * abs(top[-1]) <= tol * theta[-1]:
                 q = np.abs(basis[: k + 1].T @ top)
                 q /= np.linalg.norm(q)
-                aq = form.matvec(q)
-                rho = float(q @ aq)
-                residual = float(np.linalg.norm(aq - rho * q))
+                embedded[cut] = q
+                gap = form.matvec(embedded)
+                rho = float(embedded @ gap)
+                gap -= rho * embedded
+                residual = float(np.linalg.norm(gap))
                 if residual <= tol * rho:
-                    state = PreparedState("qubit", M=form.m_copies, twice=form.twice, p=q * q)
+                    state = PreparedState("qubit", M=form.m_copies, twice=sub.twice, p=q * q)
                     return rho, state
+                if np.linalg.norm(gap[cut]) <= tol * rho:
+                    return None
             if exhausted:
                 break
         basis[k + 1] = w / beta[k]

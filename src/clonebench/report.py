@@ -250,6 +250,25 @@ def _json_value(value):
     return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
+def _json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=2), written from one json.dumps per key and per
+    scalar: with an indent, json.dumps takes the pure-Python encoder, whose
+    nested closures leave reference cycles for the garbage collector on
+    every call."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(key)}: {_json_text(item, depth + 1)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, list):
+        items = [_json_text(item, depth + 1) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    indent = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{indent}{(',' + indent).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
 def _table(header, records, output_format: str, meta: dict | None = None) -> str:
     """The one report writer: for CSV the header line and one line per record,
     for JSON one object per record, listed under "rows" after the `meta` keys
@@ -263,7 +282,7 @@ def _table(header, records, output_format: str, meta: dict | None = None) -> str
     if output_format == "json":
         items = [{name: _json_value(value) for name, value in zip(header, record)}
                  for record in records]
-        return json.dumps(items if meta is None else {**meta, "rows": items}, indent=2) + "\n"
+        return _json_text(items if meta is None else {**meta, "rows": items}) + "\n"
     raise DomainError(f"unknown output format {output_format!r}")
 
 
@@ -314,6 +333,5 @@ def serialize_scalar(payload: dict, output_format: str) -> str:
     if output_format == "plain":
         return ", ".join(f"{key}={_fmt(value)}" for key, value in payload.items()) + "\n"
     if output_format == "json":
-        return json.dumps({key: _json_value(value) for key, value in payload.items()},
-                          indent=2) + "\n"
+        return _json_text({key: _json_value(value) for key, value in payload.items()}) + "\n"
     return _table(payload.keys(), [payload.values()], output_format)

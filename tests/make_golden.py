@@ -2,7 +2,8 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py          # rewrite the file
+    PYTHONPATH=src python tests/make_golden.py --diff   # print the change, write nothing
 
 Each invocation runs through `cli.main` in process.  Only `wall_time_ms` is
 masked (the CSV column, found by its header position, and the JSON key); every
@@ -12,7 +13,9 @@ output contract: review its diff line by line.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import json
 import pathlib
@@ -72,8 +75,12 @@ INVOCATIONS = [
     *([argv, _LARGE_M] for argv in _formats(
         ["mp-fidelity", "--n", "2", "--m", "100000", "--lambda", "256"])),
     *([argv, None] for argv in _formats(["optimize-prep", "--n", "2", "--m", "16"])),
-    # `support` is the solver window; ROADMAP item 5 may change it.
+    # `support` counts the labels of the Perron window the state was solved
+    # on: 256 of the kernel window's 3956 at (1, 100001), 203 of 1601 at
+    # (2, 16384); at (2, 16) the cut would keep more than half, so it is the
+    # whole window.
     *([argv, _LARGE_M] for argv in _formats(["optimize-prep", "--n", "1", "--m", "100001"])),
+    [["optimize-prep", "--n", "2", "--m", "16384"], None],
     [["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"], None],  # exit 2
     *([argv, None] for argv in _formats(
         ["appendix-check", "--n", "2", "--lambda", "8", "--m", "128,256,512"], ("csv", "json"))),
@@ -122,7 +129,8 @@ def run(argv) -> tuple[int, str]:
     return status, mask(buffer.getvalue())
 
 
-def main() -> None:
+def render() -> str:
+    """The golden file's text, regenerated from the current code."""
     entries = []
     for argv, note in INVOCATIONS:
         status, stdout = run(argv)
@@ -136,8 +144,24 @@ def main() -> None:
         head = json.dumps({key: value for key, value in entry.items() if key != "stdout"})
         body = ",\n".join(f"  {json.dumps(line)}" for line in entry["stdout"])
         blocks.append(f' {head[:-1]}, "stdout": [\n{body}\n ]}}')
-    GOLDEN.write_text("[\n" + ",\n".join(blocks) + "\n]\n", encoding="utf-8")
-    print(f"wrote {len(entries)} invocations to {GOLDEN}")
+    return "[\n" + ",\n".join(blocks) + "\n]\n"
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print a unified diff of the pinned file against the "
+                             "regenerated one and write nothing")
+    args = parser.parse_args(argv)
+    text = render()
+    if args.diff:
+        pinned = GOLDEN.read_text(encoding="utf-8")
+        print("".join(difflib.unified_diff(
+            pinned.splitlines(keepends=True), text.splitlines(keepends=True),
+            fromfile=f"{GOLDEN.name} (pinned)", tofile=f"{GOLDEN.name} (regenerated)")), end="")
+        return
+    GOLDEN.write_text(text, encoding="utf-8")
+    print(f"wrote {len(INVOCATIONS)} invocations to {GOLDEN}")
 
 
 if __name__ == "__main__":

@@ -335,6 +335,9 @@ class TestSharedParser:
         ["clone-fidelity", "--n", "2", "--m", "10"],
         ["mp-fidelity", "--family", "entangled", "--n", "2", "--m", "10", "--format", "csv"],
         ["sweep", "--n", "2,3", "--m", "10,11", "--grid", "1,4"],
+        ["clone-fidelity", "--n", "2", "--m", "10", "--format", "json"],
+        ["sweep", "--n", "2,3", "--m", "10,11", "--grid", "1,4", "--format", "json"],
+        ["optimize-prep", "--n", "2", "--m", "16384", "--format", "json"],
     ])
     def test_a_call_leaves_no_cyclic_garbage(self, capsys, argv):
         # Cyclic garbage left by each call makes callers in one process pay

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clonebench import optimize
 from clonebench import (
     ConvergenceError,
     DomainError,
@@ -19,6 +20,7 @@ from clonebench import (
     relative_gap,
 )
 from clonebench.equatorial import outcome_density_fourier
+from clonebench.optimize import QuadraticForm
 from clonebench.spin import sqrt_binomial_weights
 from _oracles import perron_law_ratio, phase_quadrature_general
 
@@ -157,11 +159,14 @@ class TestOptimalPreparedState:
          ((2, 16384), 25), ((8, 16384), 17), ((256, 4096), 9), ((1024, 4096), 9),
          ((4096, 4096), 9)],
     )
-    def test_gaussian_start_matvec_count(self, pair, most):
+    def test_gaussian_start_matvec_count(self, pair, most, monkeypatch):
+        # Patched on the class, as perfbench's tracer does, so the steps on the
+        # Perron window's own form are counted too.
         form = build_quadratic_form(*pair)
         calls = []
-        matvec = form.matvec
-        form.matvec = lambda q: calls.append(1) or matvec(q)
+        matvec = QuadraticForm.matvec
+        monkeypatch.setattr(QuadraticForm, "matvec",
+                            lambda self, q: calls.append(1) or matvec(self, q))
         optimal_prepared_state(form)
         assert len(calls) <= most
 
@@ -179,6 +184,41 @@ class TestOptimalPreparedState:
         with pytest.raises(ConvergenceError) as info:
             optimal_prepared_state(build_quadratic_form(1, 1), tol=tol)
         assert info.value.iterations == 0
+
+
+class TestPerronWindow:
+    """The solve on the Perron window W' (labels |m| <= 12 s + N) against the
+    same Lanczos run on the kernel's whole window W."""
+
+    @pytest.mark.parametrize(
+        "pair", [(1, 16385), (2, 16384), (4, 40000), (1, 100001), (2, 100000), (4, 100200)])
+    def test_matches_the_whole_window_solve(self, pair):
+        form = build_quadratic_form(*pair)
+        fidelity, state = optimal_prepared_state(form)
+        whole, _ = optimize._lanczos(form, slice(0, form.dimension), 1e-13)
+        assert 2 * len(state.twice) <= form.dimension  # the cut applied
+        assert abs(fidelity - whole) <= 1e-15 * whole
+
+    @pytest.mark.parametrize("pair", [(2, 64), (1024, 4096)])
+    def test_no_cut_when_it_keeps_more_than_half(self, pair):
+        form = build_quadratic_form(*pair)
+        _, state = optimal_prepared_state(form)
+        assert np.array_equal(state.twice, form.twice)
+
+    def test_leaking_window_falls_back_to_the_whole_window(self, monkeypatch):
+        # At +-2 s the Perron vector still has e^-2 of its peak: the state
+        # solved on that window meets tol inside it but not on W.
+        form = build_quadratic_form(1, 100001)
+        whole = slice(0, form.dimension)
+        expected, expected_state = optimize._lanczos(form, whole, 1e-13)
+        monkeypatch.setattr(optimize, "_PERRON_WIDTHS", 2)
+        narrow = optimize._perron_window(form)
+        assert narrow != whole
+        assert optimize._lanczos(form, narrow, 1e-13) is None
+        fidelity, state = optimal_prepared_state(form)
+        assert fidelity == expected
+        assert np.array_equal(state.twice, form.twice)
+        assert np.array_equal(state.p, expected_state.p)
 
 
 class TestLargeMPerronLaw:
