@@ -26,11 +26,15 @@ F_naive <= F_lambda* <= lambda_max(A) <= F_clon for the best swept lambda*.
 The kernel is kept only on the window of labels whose sqrt-binomial weight
 exceeds 1e-17 of the largest (about 12.5 sqrt(M) labels), which moves the
 eigenvalue by less than ~2e-17 relative; its weights are formed only on a
-closed-form superset of that window; see build_quadratic_form.  Its Perron
-pair comes from Lanczos with full reorthogonalization, started from the
-Gaussian that is the kernel's large-M Perron vector (width ~M^(1/4) labels,
-not the ~M^(1/2) of M identical copies) and stopped when the measured
-residual ||A q - rho q|| is at most tol * rho.
+closed-form superset of that window W; see build_quadratic_form.  Its
+Perron pair comes from Lanczos with full reorthogonalization, started from
+the Gaussian that is the kernel's large-M Perron vector (width s ~ M^(1/4)
+labels, not the ~M^(1/2) of M identical copies).  The Lanczos basis lives
+on the Perron window W', the labels |m| <= 12 s + N, when W' is at most half
+of W; W' carries a principal submatrix, so lambda_W' <= lambda_W.  The solve
+stops when the measured residual ||A_W q - rho q|| on all of W, for the
+state q taken as zero outside W', is at most tol * rho.  When W' meets tol
+only inside itself, the same Lanczos runs on W instead.
 
 Which evaluators make up a family is decided here, by the FAMILIES registry;
 report.relative_gap combines them into one sweep row.  The entangled family
@@ -248,29 +252,26 @@ def _perron_window(form: QuadraticForm) -> slice:
 def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[float, PreparedState]:
     """Dominant eigenpair of the fidelity kernel by Lanczos with full
     reorthogonalization, solved on the Perron window and certified on the
-    kernel's whole window.
+    kernel's whole window W.
 
-    The Perron vector is about M^(1/4) labels wide (see _perron_width2), the
-    kernel's window about 12.5 sqrt(M), so the Krylov basis is built on the
-    Perron window W' (_perron_window: the labels |m| <= 12 s + N, where the
-    Gaussian has fallen below e^-72) whenever W' is at most half of the
-    window W.  W' carries a principal submatrix of A_W, so its eigenvalue
-    lambda_W' is at most lambda_W.  The result is certified on W: the state,
-    zero outside W', must have ||A_W q - rho q|| <= `tol` * rho, from one
-    matvec on W, which is the guarantee a solve on W gives, and
-    build_quadratic_form's tail bound carries it to the whole lattice.  When
-    the residual inside W' meets `tol` but the one on W does not (W' leaks),
-    or the solve on W' fails, the same Lanczos runs again on W, so a
-    ConvergenceError always reports the solve on W.
+    The Perron vector is ~M^(1/4) labels wide, W ~12.5 sqrt(M), so when the
+    Perron window W' (_perron_window: |m| <= 12 s + N, where the Gaussian
+    has fallen to e^-72) is at most half of W, the Krylov basis is built on
+    W'.  W' carries a principal submatrix of A_W, so lambda_W' <= lambda_W.
+    The state, zero outside W', is accepted only when one matvec on W gives
+    ||A_W q - rho q|| <= `tol` * rho: the guarantee of a solve on W, which
+    build_quadratic_form's tail bound carries to the whole lattice.  When
+    the residual meets `tol` inside W' but not on W (W' leaks), or the solve
+    on W' fails, the same Lanczos runs on W, so a ConvergenceError always
+    reports the solve on W.
 
-    The Krylov basis starts from the Gaussian exp(-m^2 / 2 s^2), with
-    s^2 = sqrt(M A2 / A0) / 2 for A0 = sum_k a_k and A2 = sum_k k^2 a_k: the
-    Perron vector of the kernel's large-M (harmonic-oscillator) limit.  A
-    1e-14 share of sqrt(b) keeps every entry positive where the Gaussian
-    underflows.  At M ~ 10^5 the weights b of a sqrt(b) start have ~300
-    times the variance of the Perron weights; that start took 89 matvecs at
-    (N, M) = (1, 100001), the Gaussian takes 49.  The basis grows by at most
-    _MAX_STEPS = 300 steps (so at most that many window vectors are held).
+    The basis starts from the Gaussian exp(-m^2 / 2 s^2) of _perron_width2,
+    the Perron vector of the kernel's large-M (harmonic-oscillator) limit,
+    plus a 1e-14 share of sqrt(b) that keeps every entry positive where the
+    Gaussian underflows.  At M ~ 10^5 the weights b of a sqrt(b) start have
+    ~300 times the variance of the Perron weights; that start took 89
+    matvecs at (N, M) = (1, 100001), the Gaussian takes 49.  The basis grows
+    by at most _MAX_STEPS = 300 steps (so at most that many vectors are held).
     Every few steps the tridiagonal projection is solved with np.linalg.eigh;
     once the Ritz estimate allows it, the residual of the Ritz vector q (made
     positive and normalized) is measured with a matvec, and the solve stops

@@ -144,7 +144,8 @@ class TestOptimalPreparedState:
     @pytest.mark.parametrize("pair", [(1, 100001), (2, 100000), (4, 16384), (3, 1025)])
     def test_window_is_the_full_lattice_cut(self, pair):
         # The closed-form window only bounds where weights are formed; the
-        # sqrt(b) > 1e-17 max cut, and so optimize-prep's support, is the same.
+        # sqrt(b) > 1e-17 max cut, and so the window W the solve is certified
+        # on, is the same.
         n_copies, m_copies = pair
         sqrt_b = sqrt_binomial_weights(m_copies)
         keep = sqrt_b > 1e-17 * sqrt_b.max()
