@@ -8,8 +8,9 @@ of them, each the square of a character sum.  Each square is expanded into
 chi_J coefficients along the Clebsch-Gordan series |j - j'| <= J <= j + j'
 (a difference array of the sum's autocorrelation minus its self-convolution,
 then one prefix sum), and by character orthonormality the integral is the dot
-product of the two coefficient vectors: O(N S + N^2) for a prepared state on S
-labels.  Nothing here materializes a 2^N-dimensional operator.
+product of the two coefficient vectors: O(T S + T^2) for a prepared state on S
+labels, where the N-copy sums run over spin.irrep_window(N), doubled labels up
+to T ~ 15 sqrt(N).  Nothing here materializes a 2^N-dimensional operator.
 """
 
 from __future__ import annotations
@@ -20,16 +21,13 @@ import numpy as np
 
 from .errors import DomainError
 from .spin import (
-    _SQRT_FLOOR,
     PreparedState,
     _check_copies,
     _check_window_copies,
     _doubled,
-    binomial_window,
     central_binomial_weight,
+    irrep_window,
     log_irrep_weight,
-    sqrt_irrep_weights,
-    total_spin_twice,
 )
 from .equatorial import _check_amplification, _lag_products, ansatz_cutoff
 
@@ -44,7 +42,7 @@ def prepared_char_polynomial(state: PreparedState) -> tuple[np.ndarray, np.ndarr
 def eco_clone_fidelity_exact(n_copies: int, m_copies: int) -> float:
     """Global fidelity of the optimal economical covariant cloner (exact block sum)."""
     _check_amplification(n_copies, m_copies)
-    twice_j = total_spin_twice(n_copies)
+    twice_j = irrep_window(n_copies)
     root = np.exp(
         0.5 * (log_irrep_weight(n_copies, twice_j) + log_irrep_weight(m_copies, twice_j))
     )
@@ -91,20 +89,11 @@ def cg_overlap_count(j1, j2, j3, j4):
 def prepared_state_ansatz_ent(m_copies: int, lam: float) -> PreparedState:
     """Prepared state with block weights c_j^{(K)}, K = M/lambda rounded to the M-lattice.
 
-    The support is the non-negative half of spin.binomial_window(K, floor)
-    with floor = eps^2 / ((K + 1)(K + 2)) and eps = spin._SQRT_FLOOR, so no
-    weight is formed on the rest of the K/2 + 1 labels.  Since
-    (2j+1)^2 / (K/2+j+1) <= 2(K+1), every c_j <= 2(K+1) b_{K,2j}; and
-    c_max >= 2/(K+2), as at most K/2 + 1 weights sum to 1.  So every
-    label outside the window has c_j <= 2(K+1) floor <= eps^2 c_max, and
-    Hoeffding's tail bound puts the mass left out at most 4 eps^2 / (K+2),
-    below double precision.  The window keeps 453 of the 2049 labels at
-    K = 4096 and 24387 of 5 * 10^6 at K = 10^7; it refuses K above
-    spin._MAX_WINDOW_COPIES.
+    The support is spin.irrep_window(K), so no weight is formed on the rest
+    of the K/2 + 1 labels, and K above spin._MAX_WINDOW_COPIES is refused.
     """
     k, _ = ansatz_cutoff(m_copies, lam)
-    window = binomial_window(k, _SQRT_FLOOR**2 / ((k + 1.0) * (k + 2.0)))
-    twice_j = window[window >= 0]
+    twice_j = irrep_window(k)
     p = np.exp(log_irrep_weight(k, twice_j))
     return PreparedState("entangled", M=m_copies, twice=twice_j, p=p / np.sum(p))
 
@@ -140,9 +129,12 @@ def _char_square(poly: tuple[np.ndarray, np.ndarray], j_max: int) -> np.ndarray:
 
 
 def seed_char_square(n_copies: int) -> np.ndarray:
-    """Coefficients A_0 .. A_N of the squared seed (sum_j sqrt(c_j) chi_j)^2 in chi_J:
-    the N-copy side of mp_fidelity_exact_ent, which depends on N only."""
-    return _char_square(sqrt_irrep_weights(n_copies), n_copies)
+    """Coefficients A_0 .. A_T of the squared seed (sum_j sqrt(c_j) chi_j)^2 in chi_J:
+    the N-copy side of mp_fidelity_exact_ent, which depends on N only.  The sum
+    runs over spin.irrep_window(N), doubled labels up to T, where the array ends."""
+    twice_j = irrep_window(n_copies)
+    sqrt_c = np.exp(0.5 * log_irrep_weight(n_copies, twice_j))
+    return _char_square((twice_j, sqrt_c), int(twice_j[-1]))
 
 
 def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) -> float:
@@ -151,20 +143,19 @@ def mp_fidelity_exact_ent(n_copies: int, m_copies: int, state: PreparedState) ->
     The Haar integral of the two density class functions (sum_j sqrt(c_j)
     chi_j)^2 and (sum_j sqrt(p_j c_j) chi_j / d_j)^2.  Each square is expanded
     into chi_J coefficients, and by character orthonormality the integral is
-    their dot product.  The seed side stops at J = N, so only prepared-side
-    pairs at most N lattice steps apart count: O(N S + N^2) time and
-    O(N + S) memory for a prepared state supported on S labels.  The
-    lambda = 1 ansatz at M = 10^7 has S = 24387 window labels.  M above
-    spin._MAX_WINDOW_COPIES raises MemoryError: the weights c_j^{(M)} lose
-    digits there.
+    their dot product.  The seed side stops at J = T, the top doubled label
+    of spin.irrep_window(N), so only prepared-side pairs at most T lattice
+    steps apart count: O(T S + T^2) time and O(T + S) memory for a prepared
+    state supported on S labels (S = 24387 for the lambda = 1 ansatz at
+    M = 10^7).  A copy number above spin._MAX_WINDOW_COPIES raises
+    MemoryError: the weights lose digits there.
     """
-    _check_copies(n_copies)
     _check_window_copies(m_copies)
     return mp_fidelity_exact_ent_from_seed(seed_char_square(n_copies), m_copies, state)
 
 
 def mp_fidelity_exact_ent_from_seed(seed: np.ndarray, m_copies: int, state: PreparedState) -> float:
-    """mp_fidelity_exact_ent for the N-copy coefficients A_0 .. A_N = seed_char_square(N),
+    """mp_fidelity_exact_ent for the N-copy coefficients A_0 .. A_T = seed_char_square(N),
     which callers evaluating many states at one N build once."""
     _check_window_copies(m_copies)
     state.check("entangled", m_copies)
@@ -174,6 +165,6 @@ def mp_fidelity_exact_ent_from_seed(seed: np.ndarray, m_copies: int, state: Prep
 
 def p_true_ent(n_copies: int) -> float:
     """Peak outcome density (sum_j sqrt(c_j) d_j)^2 of the square-root measurement."""
-    twice_j, sqrt_c = sqrt_irrep_weights(n_copies)
-    s = math.fsum(sqrt_c * (twice_j + 1.0))
+    twice_j = irrep_window(n_copies)
+    s = math.fsum(np.exp(0.5 * log_irrep_weight(n_copies, twice_j)) * (twice_j + 1.0))
     return s * s

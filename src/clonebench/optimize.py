@@ -30,10 +30,11 @@ closed-form superset of that window W; see build_quadratic_form.  Its
 Perron pair comes from Lanczos with full reorthogonalization, started from
 the Gaussian that is the kernel's large-M Perron vector (width s ~ M^(1/4)
 labels, not the ~M^(1/2) of M identical copies).  The Lanczos basis lives
-on the Perron window W', the labels |m| <= 12 s + N, when W' is at most half
+on the Perron window W', the labels |m| <= 12 s + T, when W' is at most half
 of W; W' carries a principal submatrix, so lambda_W' <= lambda_W.  The solve
 stops when the measured residual ||A_W q - rho q|| on all of W, for the
-state q taken as zero outside W', is at most tol * rho.  When W' meets tol
+state q taken as zero outside W', is at most tol * rho.  T, the kernel's
+band, is the outcome density's last lag.  When W' meets tol
 only inside itself, the same Lanczos runs on W instead.
 
 Which evaluators make up a family is decided here, by the FAMILIES registry;
@@ -70,10 +71,10 @@ class Family:
 
     The measure-and-prepare fidelity is a dot product of an N-copy spectrum,
     `seed(n)`, and a prepared-state spectrum: the outcome-density
-    coefficients a_0 .. a_N for qubits, the squared seed's chi_J
-    coefficients A_0 .. A_N for entangled pairs.  `mp_fidelity(seed, m,
-    state)` takes the seed spectrum, so a caller that evaluates many states
-    at one N builds it once.  `kernel(n, m)` builds the quadratic form whose
+    coefficients a_0 .. a_T for qubits, the squared seed's chi_J
+    coefficients A_0 .. A_T for entangled pairs (T ends the N-copy window).
+    `mp_fidelity(seed, m, state)` takes the seed spectrum, so a caller that
+    evaluates many states at one N builds it once.  `kernel(n, m)` builds the quadratic form whose
     Perron eigenvalue is the family's measure-and-prepare optimum, and
     carries the qubit seed as its `fourier`; it is None for a family
     without one.
@@ -95,13 +96,12 @@ class Family:
     def seed_for(self, n_copies: int, *m_copies: int) -> np.ndarray:
         """seed(n_copies) for N -> M questions at each M of m_copies.
 
-        N and every M are checked first, as the evaluators check them, so an
-        M above spin._MAX_WINDOW_COPIES is refused before the O(N^2) seed is
-        built.
+        N and every M are checked first, as the evaluators check them, so a
+        copy number above spin._MAX_WINDOW_COPIES is refused before the
+        O(T^2) seed is built.
         """
-        _check_copies(n_copies)
-        for m in m_copies:
-            _check_window_copies(m)
+        for copies in (n_copies, *m_copies):
+            _check_window_copies(copies)
         return self.seed(n_copies)
 
     def sweep(self, seed: np.ndarray, m_copies: int, grid) -> LambdaSweepResult:
@@ -149,8 +149,8 @@ class QuadraticForm:
     """Banded symmetric PSD kernel of the qubit measure-and-prepare fidelity.
 
     Stored on a window of the M-lattice (doubled labels `twice`) as the
-    sqrt-binomial diagonal and the outcome-density coefficients a_0 .. a_N;
-    a matvec is one band convolution, O(N d) on d window labels.
+    sqrt-binomial diagonal and the outcome-density coefficients a_0 .. a_T;
+    a matvec is one band convolution, O(T d) on d window labels.
     """
 
     m_copies: int
@@ -208,7 +208,7 @@ def build_quadratic_form(n_copies: int, m_copies: int) -> QuadraticForm:
 def _perron_width2(form: QuadraticForm) -> float:
     """s^2 = sqrt(M A2 / A0) / 2, the squared width of the kernel's large-M
     Perron vector exp(-m^2 / 2 s^2), for A0 = sum_k a_k and A2 = sum_k k^2 a_k
-    over the lags -N .. N.
+    over the lags -T .. T.
 
     Near the centre the kernel acts as b_max [A0 (1 - 2 m^2/M) q + A2 q''/2]:
     a harmonic oscillator whose ground state is this Gaussian.  Its width
@@ -239,7 +239,7 @@ _PERRON_WIDTHS = 12
 
 
 def _perron_window(form: QuadraticForm) -> slice:
-    """The labels |m| <= 12 s + N of the kernel's window, where the Perron
+    """The labels |m| <= 12 s + T of the kernel's window, where the Perron
     vector lives, or the whole window when that cut would keep more than half
     of it."""
     reach = _PERRON_WIDTHS * math.sqrt(_perron_width2(form)) + len(form.fourier) - 1
@@ -255,7 +255,7 @@ def optimal_prepared_state(form: QuadraticForm, tol: float = 1e-13) -> tuple[flo
     kernel's whole window W.
 
     The Perron vector is ~M^(1/4) labels wide, W ~12.5 sqrt(M), so when the
-    Perron window W' (_perron_window: |m| <= 12 s + N, where the Gaussian
+    Perron window W' (_perron_window: |m| <= 12 s + T, where the Gaussian
     has fallen to e^-72) is at most half of W, the Krylov basis is built on
     W'.  W' carries a principal submatrix of A_W, so lambda_W' <= lambda_W.
     The state, zero outside W', is accepted only when one matvec on W gives

@@ -85,6 +85,8 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
+    """Rows and JSON metadata; run_sweep hashes only for JSON (hashlib loads OpenSSL)."""
+
     rows: list[SweepRow] = field(default_factory=list)
     version: str = _version
     config_hash: str = ""
@@ -158,7 +160,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                         lam,
                     )
             rows.append(relative_gap(n_copies, m_copies, config.family, lambdas))
-    return SweepReport(rows=rows, config_hash=config.digest())
+    digest = config.digest() if config.output_format == "json" else ""
+    return SweepReport(rows=rows, config_hash=digest)
 
 
 @dataclass(frozen=True)

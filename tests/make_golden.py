@@ -60,6 +60,12 @@ INVOCATIONS = [
     [["mp-fidelity", "--family", "entangled", "--n", "64", "--m", "4096", "--lambda", "1",
       "--format", "json"], None],
     [["sweep", "--family", "entangled", "--n", "63", "--m", "4097", "--grid", "1,4,16"], None],
+    # Across the N-side window's cut: binomial_window(N) keeps 407 of the 1001
+    # labels of N = 1000 and 583 of 2049 at N = 2048; the entangled seed keeps
+    # 220 of the 501 j-labels at N = 1000.
+    [["sweep", "--n", "2048", "--m", "4096", "--lambda-rule", "0.5"], None],
+    [["mp-fidelity", "--n", "1000", "--m", "4096", "--lambda", "16"], None],
+    [["sweep", "--family", "entangled", "--n", "1000", "--m", "4096", "--grid", "1,4"], None],
     [["sweep", "--n", "2", "--m", "16", "--grid", "1,64"], None],  # clamped cutoff
     [["sweep", "--n", "2", "--m", "", "--grid", "1"], None],  # header only
     *([argv, None] for argv in _formats(["clone-fidelity", "--n", "1", "--m", "3"])),

@@ -193,6 +193,25 @@ class TestExitStatuses:
         assert captured.out == ""
         assert captured.err.startswith("fatal: out of memory") and "100000000" in captured.err
 
+    # Every N-side sum runs over a window, so N is held to the bound M is held
+    # to: refused before any array is formed (at N = 10^8 the whole lattice
+    # was a 763 MiB array).
+    @pytest.mark.parametrize("argv", [
+        ["clone-fidelity", "--family", "qubit"],
+        ["clone-fidelity", "--family", "entangled"],
+        ["mp-fidelity"],
+        ["sweep", "--grid", "1"],
+        ["appendix-check", "--lambda", "4"],
+    ], ids=["clone-qubit", "clone-entangled", "mp", "sweep", "appendix"])
+    def test_copy_number_n_above_the_bound_is_refused(self, capsys, argv):
+        argv = [*argv, "--n", "100000002", "--m", "100000002"]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "copies exceed" in captured.err and captured.err.count("\n") == 1
+
     def test_non_convergence_is_exit_two(self, capsys):
         code = main(["optimize-prep", "--n", "1", "--m", "1", "--tol", "0"])
         assert code == 2
@@ -203,6 +222,23 @@ class TestExitStatuses:
         assert main(["optimize-prep", "--n", "1", "--m", "1", "--tol", tol]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "tolerance must be >= 0" in err
+
+
+class TestLargeCopyNumbers:
+    # The N side costs O(T^2) on a window of T ~ 13 sqrt(N) labels, not O(N^2):
+    # mp-fidelity at N = 10^6 took ~4 minutes over the whole lattice.
+    @pytest.mark.parametrize("argv", [
+        ["mp-fidelity", "--n", "1000000", "--m", "1000000"],
+        ["mp-fidelity", "--family", "entangled", "--n", "1000000", "--m", "1000000"],
+        ["sweep", "--n", "200000", "--m", "200000", "--grid", "1"],
+        ["clone-fidelity", "--n", "100000000", "--m", "100000000"],
+        ["clone-fidelity", "--family", "entangled", "--n", "100000000", "--m", "100000000"],
+    ], ids=["mp-qubit", "mp-entangled", "sweep", "clone-qubit", "clone-entangled"])
+    def test_large_n_runs_in_seconds(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err == ""
 
 
 class TestOracleCheck:
@@ -359,13 +395,29 @@ class TestSharedParser:
         assert capsys.readouterr().out.splitlines()[1].startswith("qubit,1,1,1,")
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a new interpreter that imports this clonebench."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    return done.stdout
+
+
 def test_cold_start_loads_no_scipy():
     # Importing scipy.special takes about half a process start, and hashlib
     # ~3.5 ms of it; only the benchmark's reference generator needs scipy, and
     # only a JSON sweep report's config hash needs hashlib.
     code = ("import sys, clonebench.cli; "
             "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'hashlib')])")
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
-    assert done.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_csv_sweep_loads_no_openssl():
+    # CSV prints no config hash, so a CSV sweep does not load hashlib, whose
+    # _hashlib (OpenSSL's libcrypto) adds ~3 MB of resident memory.
+    code = ("import sys, clonebench.cli; "
+            "clonebench.cli.main(['sweep', '--n', '2', '--m', '16', '--grid', '1,4']); "
+            "print([m for m in sys.modules if m in ('hashlib', '_hashlib')])")
+    lines = _fresh_python(code).splitlines()
+    assert lines[0] == "family,N,M,lambda,f_clon,f_mp,f_naive,f_eig,ratio_naive,delta,wall_time_ms"
+    assert lines[-1] == "[]"

@@ -17,11 +17,17 @@ from clonebench import (
     prepared_state_ansatz,
     prepared_state_ansatz_ent,
 )
-from clonebench.entangled import _char_square, p_true_ent, prepared_char_polynomial
+from clonebench.entangled import (
+    _char_square,
+    p_true_ent,
+    prepared_char_polynomial,
+    seed_char_square,
+)
 from clonebench.quadrature import _char_values
 from clonebench.spin import (
     _SQRT_FLOOR,
     central_binomial_weight,
+    irrep_window,
     log_irrep_weight,
     sqrt_irrep_weights,
     total_spin_twice,
@@ -174,6 +180,38 @@ class TestAnsatzWindow:
         c = np.exp(log_irrep_weight(4096, total_spin_twice(4096)))
         full = (c / np.sum(c))[: len(state.p)]
         assert np.allclose(state.p, full, rtol=1e-14, atol=0)
+
+
+class TestSeedWindow:
+    """The N side on spin.irrep_window(N) against the whole j-lattice."""
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_seed_matches_the_whole_lattice(self, n_copies):
+        seed = seed_char_square(n_copies)
+        assert len(seed) == irrep_window(n_copies)[-1] + 1 < n_copies + 1
+        # The earlier seed, _char_square over the whole lattice to J = N.
+        whole = _char_square(sqrt_irrep_weights(n_copies), n_copies)[: len(seed)]
+        assert np.max(np.abs(seed - whole)) <= 2.2e-20 * seed[0]
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_dropped_coefficients_are_below_the_bound(self, n_copies):
+        # A chi_J with J > T comes only from pairs with a label outside the
+        # window, so A_J <= 2 (sum of the sqrt weights left out) (sum of all).
+        # (The whole-lattice prefix sum itself reads ~1e-14 of cancellation
+        # noise there, so the bound is taken from the weights.)
+        twice_j, sqrt_c = sqrt_irrep_weights(n_copies)
+        left_out = twice_j > irrep_window(n_copies)[-1]
+        bound = 2.0 * math.fsum(sqrt_c[left_out]) * math.fsum(sqrt_c)
+        assert bound <= 2.2e-20 * seed_char_square(n_copies)[0]
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_clone_fidelity_matches_the_whole_lattice(self, n_copies):
+        twice_j = total_spin_twice(n_copies)
+        for m_copies in (n_copies, 2 * n_copies, 10 * n_copies + 2, 10**7):
+            root = np.exp(0.5 * (log_irrep_weight(n_copies, twice_j)
+                                 + log_irrep_weight(m_copies, twice_j)))
+            whole = math.fsum(root) ** 2
+            assert eco_clone_fidelity_exact(n_copies, m_copies) == pytest.approx(whole, rel=1e-15)
 
 
 def _char_square_by_lag(poly, j_max):

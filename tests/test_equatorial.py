@@ -24,6 +24,7 @@ from clonebench.equatorial import (
     p_true,
 )
 from clonebench.spin import (
+    binomial_window,
     central_binomial_weight,
     dicke_twice,
     log_binomial_weight,
@@ -107,10 +108,11 @@ class TestOutcomeDensityFourier:
 
     @pytest.mark.parametrize("n_copies", [1, 2, 4, 7, 64, 256, 1000, 2048])
     def test_equals_per_lag_dot_products(self, n_copies):
-        # The same sums as one np.dot per lag, bit for bit at these N, so the
-        # printed digits do not move.  (At N = 5 lag 0 is one ulp apart.)
-        sb = sqrt_binomial_weights(n_copies)
-        per_lag = [np.dot(sb[: len(sb) - k], sb[k:]) for k in range(n_copies + 1)]
+        # The same sums as one np.dot per lag over the window's sqrt weights,
+        # bit for bit at these N, so the printed digits do not move.  (At N = 5
+        # lag 0 is one ulp apart.)
+        sb = np.exp(0.5 * log_binomial_weight(n_copies, binomial_window(n_copies)))
+        per_lag = [np.dot(sb[: len(sb) - k], sb[k:]) for k in range(len(sb))]
         assert np.array_equal(outcome_density_fourier(n_copies), per_lag)
 
     @pytest.mark.parametrize("n_copies", [1, 2, 3, 8, 31])
@@ -125,11 +127,46 @@ class TestOutcomeDensityFourier:
     @pytest.mark.parametrize("n_copies", [1, 2, 3, 8, 31, 256])
     def test_density_nonnegative_on_grid(self, n_copies):
         a = outcome_density_fourier(n_copies)
-        assert len(a) == n_copies + 1
-        theta = np.linspace(-math.pi, math.pi, 4 * n_copies + 1, endpoint=False)
-        k = np.arange(1, n_copies + 1)
+        top = int(binomial_window(n_copies)[-1])  # the window's doubled labels -T .. T
+        assert len(a) == top + 1
+        theta = np.linspace(-math.pi, math.pi, 4 * top + 1, endpoint=False)
+        k = np.arange(1, top + 1)
         density = a[0] + 2.0 * np.cos(np.outer(theta, k)) @ a[1:]
         assert density.min() >= -1e-12
+
+
+class TestSeedWindow:
+    """The N side on binomial_window(N) against the whole lattice."""
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_seed_matches_the_whole_lattice(self, n_copies):
+        a = outcome_density_fourier(n_copies)
+        assert len(a) == binomial_window(n_copies)[-1] + 1 < n_copies + 1
+        # One np.dot per lag over the whole lattice: the earlier seed, bit for bit.
+        whole = _lag_products_by_dot(sqrt_binomial_weights(n_copies), len(a) - 1)
+        # At most one ulp of 1 (2.22e-16; a_0 = 1 to 1.4e-10) at these N.
+        assert np.max(np.abs(a - whole)) <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_dropped_coefficients_are_below_the_bound(self, n_copies):
+        # A lag beyond T pairs a label outside the window with one anywhere, so
+        # a_k <= 2 (sum of the sqrt weights left out) max sqrt(b) for k > T.
+        sb = sqrt_binomial_weights(n_copies)
+        left_out = ~np.isin(dicke_twice(n_copies), binomial_window(n_copies))
+        bound = 2.0 * math.fsum(sb[left_out]) * sb.max()
+        assert bound <= 2.2e-16 * outcome_density_fourier(n_copies)[0]
+        if n_copies <= 10**4:  # and the whole-lattice coefficients themselves
+            whole = np.correlate(sb, sb, "full")[n_copies:]
+            assert np.max(whole[len(outcome_density_fourier(n_copies)) :]) <= 2.2e-16 * whole[0]
+
+    @pytest.mark.parametrize("n_copies", [10**3, 10**4, 10**5])
+    def test_clone_fidelity_matches_the_whole_lattice(self, n_copies):
+        twice = dicke_twice(n_copies)
+        for m_copies in (n_copies, 2 * n_copies, 10 * n_copies + 2, 10**7):
+            root = np.exp(0.5 * (log_binomial_weight(n_copies, twice)
+                                 + log_binomial_weight(m_copies, twice)))
+            whole = math.fsum(root) ** 2
+            assert clone_fidelity_exact(n_copies, m_copies) == pytest.approx(whole, rel=1e-15)
 
 
 def _lag_products_by_dot(v, max_lag):
