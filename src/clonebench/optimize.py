@@ -74,10 +74,10 @@ class Family:
     coefficients a_0 .. a_T for qubits, the squared seed's chi_J
     coefficients A_0 .. A_T for entangled pairs (T ends the N-copy window).
     `mp_fidelity(seed, m, state)` takes the seed spectrum, so a caller that
-    evaluates many states at one N builds it once.  `kernel(n, m)` builds the quadratic form whose
-    Perron eigenvalue is the family's measure-and-prepare optimum, and
-    carries the qubit seed as its `fourier`; it is None for a family
-    without one.
+    evaluates many states at one N builds it once.  `kernel(n, m)` builds
+    the quadratic form whose Perron eigenvalue is the family's
+    measure-and-prepare optimum, and carries the qubit seed as its
+    `fourier`; it is None for a family without one.
     """
 
     clone_fidelity: Callable[[int, int], float]

@@ -189,7 +189,7 @@ class TestSeedWindow:
     def test_seed_matches_the_whole_lattice(self, n_copies):
         seed = seed_char_square(n_copies)
         assert len(seed) == irrep_window(n_copies)[-1] + 1 < n_copies + 1
-        # The earlier seed, _char_square over the whole lattice to J = N.
+        # The whole-lattice seed: _char_square over every label, to J = N.
         whole = _char_square(sqrt_irrep_weights(n_copies), n_copies)[: len(seed)]
         assert np.max(np.abs(seed - whole)) <= 2.2e-20 * seed[0]
 

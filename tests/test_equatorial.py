@@ -142,7 +142,7 @@ class TestSeedWindow:
     def test_seed_matches_the_whole_lattice(self, n_copies):
         a = outcome_density_fourier(n_copies)
         assert len(a) == binomial_window(n_copies)[-1] + 1 < n_copies + 1
-        # One np.dot per lag over the whole lattice: the earlier seed, bit for bit.
+        # The whole-lattice spectrum, one np.dot per lag.
         whole = _lag_products_by_dot(sqrt_binomial_weights(n_copies), len(a) - 1)
         # At most one ulp of 1 (2.22e-16; a_0 = 1 to 1.4e-10) at these N.
         assert np.max(np.abs(a - whole)) <= np.finfo(float).eps
